@@ -30,6 +30,29 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
+    fn quantiles_are_monotone_and_never_exceed_the_max(
+        samples in proptest::collection::vec(0u64..(1 << 45), 1..64),
+    ) {
+        let registry = Registry::new();
+        let histogram = registry.histogram("q");
+        for &value in &samples {
+            histogram.record(value);
+        }
+        let snapshot = registry.snapshot();
+        let snap = snapshot.histogram("q").unwrap();
+        let max = *samples.iter().max().unwrap();
+        prop_assert_eq!(snap.max, max);
+        let mut previous = 0;
+        for step in 0..=20 {
+            let quantile = snap.quantile(f64::from(step) / 20.0);
+            prop_assert!(quantile >= previous, "q={}: {} < {}", step, quantile, previous);
+            prop_assert!(quantile <= max, "q={}: {} > max {}", step, quantile, max);
+            previous = quantile;
+        }
+        prop_assert_eq!(snap.quantile(1.0), max);
+    }
+
+    #[test]
     fn merge_is_associative_and_commutative(
         a in (arb_samples(), arb_samples()),
         b in (arb_samples(), arb_samples()),
@@ -141,10 +164,10 @@ proptest! {
         for &(index, _) in &hist.buckets {
             prop_assert!((index as usize) < BUCKETS);
         }
-        // Quantiles are monotone in q and bounded by the bucketed max.
+        // Quantiles are monotone in q, and p100 is the recorded max.
         let (p50, p95, p100) = (hist.quantile(0.5), hist.quantile(0.95), hist.quantile(1.0));
         prop_assert!(p50 <= p95 && p95 <= p100);
-        prop_assert!(hist.max <= p100 || p100 == u64::MAX);
+        prop_assert_eq!(p100, hist.max);
     }
 }
 

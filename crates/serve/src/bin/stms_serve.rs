@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! stms-serve --socket PATH [--quick] [--accesses N] [--threads N]
-//!            [--trace-cache DIR] [--result-cache DIR] [--cache-verify]
-//!            [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]
-//!            [--trace-codec v2|v3] [--metrics-out FILE] [--calibrate-from DIR]
+//!            [--result-cache DIR] [--cache-verify] [--stream-traces]
+//!            [--metrics-out FILE] [--calibrate-from DIR]
 //!            [--max-active N] [--max-queue N] [--read-timeout-ms MS]
 //! ```
 //!
@@ -18,14 +17,14 @@
 //! library's counter-semantics notes); a live daemon answers the same
 //! values to `stms-serve-client --stats` / `--metrics` at any time.
 //!
-//! The experiment-model flags (`--quick`, `--accesses`, cache and
-//! streaming flags) mean exactly what they mean on `stms-experiments`; a
-//! daemon and a one-shot run configured alike produce byte-identical
-//! figure bytes. That includes `--replay-pipeline auto` (serial streaming
-//! on a single-hardware-thread box, depth 2 otherwise) and
-//! `--calibrate-from DIR`, which rescales the daemon's job-cost model once
-//! at startup from the per-job timings sealed in prior shard manifests —
-//! every request served afterwards schedules its pool with the calibrated
+//! The campaign flags (`--quick`, `--accesses`, `--threads`, the cache,
+//! streaming and telemetry flags) are parsed by the same
+//! [`stms_sim::cli::CampaignFlags`] as on `stms-experiments`, so they mean
+//! exactly the same thing; a daemon and a one-shot run configured alike
+//! produce byte-identical figure bytes. That includes `--calibrate-from
+//! DIR`, which rescales the daemon's job-cost model once at startup from
+//! the per-job timings sealed in prior shard manifests — every request
+//! served afterwards schedules its pool with the calibrated
 //! longest-predicted-first order. Scheduling changes order only, never
 //! figure bytes.
 
@@ -34,6 +33,8 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use stms_serve::{ServeConfig, Server};
+use stms_sim::campaign::CampaignCaches;
+use stms_sim::cli::{flag_count, flag_number, flag_value, CampaignFlags};
 use stms_sim::experiments::{self, ALL_IDS};
 use stms_sim::ExperimentConfig;
 use stms_stats::{RunSummary, TelemetryReport};
@@ -61,118 +62,28 @@ fn install_signal_handlers() {
 
 fn usage() -> &'static str {
     "usage: stms-serve --socket PATH [--quick] [--accesses N] [--threads N]\n\
-     \x20                 [--trace-cache DIR] [--result-cache DIR] [--cache-verify]\n\
-     \x20                 [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]\n\
-     \x20                 [--trace-codec v2|v3] [--metrics-out FILE] [--calibrate-from DIR]\n\
+     \x20                 [--result-cache DIR] [--cache-verify] [--stream-traces]\n\
+     \x20                 [--metrics-out FILE] [--calibrate-from DIR]\n\
      \x20                 [--max-active N] [--max-queue N] [--read-timeout-ms MS]"
 }
 
 fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<PathBuf>), String> {
+    let mut flags = CampaignFlags::default();
     let mut socket: Option<PathBuf> = None;
-    let mut cfg = ExperimentConfig::scaled();
-    let mut accesses: Option<usize> = None;
-    let mut config = ServeConfig::new(PathBuf::new(), cfg.clone());
-    let mut decode_threads: Option<usize> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut calibrate_from: Option<PathBuf> = None;
+    let mut config = ServeConfig::new(PathBuf::new(), ExperimentConfig::scaled());
 
     let mut i = 0;
-    let value_of = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    let number_of = |i: &mut usize, flag: &str| -> Result<usize, String> {
-        let v = value_of(i, flag)?;
-        v.parse()
-            .map_err(|_| format!("{flag} requires a number, got `{v}`"))
-    };
     while i < args.len() {
+        if flags.take(args, &mut i)? {
+            i += 1;
+            continue;
+        }
         match args[i].as_str() {
-            "--socket" => socket = Some(value_of(&mut i, "--socket")?.into()),
-            "--quick" => cfg = ExperimentConfig::quick(),
-            "--accesses" => {
-                let n = number_of(&mut i, "--accesses")?;
-                if n == 0 {
-                    return Err("--accesses must be non-zero".into());
-                }
-                accesses = Some(n);
-            }
-            "--threads" => {
-                config.threads = number_of(&mut i, "--threads")?;
-                if config.threads == 0 {
-                    return Err("--threads must be non-zero".into());
-                }
-            }
-            "--trace-cache" => {
-                config.caches.trace_dir = Some(value_of(&mut i, "--trace-cache")?.into());
-            }
-            "--result-cache" => {
-                config.caches.result_dir = Some(value_of(&mut i, "--result-cache")?.into());
-            }
-            "--cache-verify" => config.caches.verify = true,
-            "--stream-traces" => config.caches.stream_traces = true,
-            "--replay-pipeline" => {
-                let v = value_of(&mut i, "--replay-pipeline")?;
-                if v == "auto" {
-                    // Same policy as stms-experiments: on a single
-                    // hardware thread the stages cannot overlap, so fall
-                    // back to serial streaming; otherwise the minimal
-                    // depth that overlaps prefetch with simulation.
-                    let parallelism = std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1);
-                    if parallelism <= 1 {
-                        config.caches.stream_traces = true;
-                    } else {
-                        config.caches.pipeline_depth = 2;
-                    }
-                } else {
-                    let depth: usize = v.parse().map_err(|_| {
-                        format!("--replay-pipeline requires a depth or `auto`, got `{v}`")
-                    })?;
-                    if depth < 2 {
-                        return Err(format!(
-                            "--replay-pipeline depth must be at least 2, got {depth}"
-                        ));
-                    }
-                    config.caches.pipeline_depth = depth;
-                }
-            }
-            "--decode-threads" => {
-                let n = number_of(&mut i, "--decode-threads")?;
-                if n == 0 {
-                    return Err("--decode-threads must be non-zero".into());
-                }
-                decode_threads = Some(n);
-            }
-            "--trace-codec" => {
-                let v = value_of(&mut i, "--trace-codec")?;
-                config.caches.trace_codec = match v.as_str() {
-                    "v2" => stms_types::TraceCodec::V2,
-                    "v3" => stms_types::TraceCodec::V3,
-                    other => return Err(format!("--trace-codec must be v2 or v3, got `{other}`")),
-                };
-            }
-            "--metrics-out" => {
-                metrics_out = Some(value_of(&mut i, "--metrics-out")?.into());
-            }
-            "--calibrate-from" => {
-                calibrate_from = Some(value_of(&mut i, "--calibrate-from")?.into());
-            }
-            "--max-active" => {
-                config.max_active = number_of(&mut i, "--max-active")?;
-                if config.max_active == 0 {
-                    return Err("--max-active must be non-zero".into());
-                }
-            }
-            "--max-queue" => config.max_queue = number_of(&mut i, "--max-queue")?,
+            "--socket" => socket = Some(flag_value(args, &mut i, "--socket")?.into()),
+            "--max-active" => config.max_active = flag_count(args, &mut i, "--max-active")?,
+            "--max-queue" => config.max_queue = flag_number(args, &mut i, "--max-queue")?,
             "--read-timeout-ms" => {
-                let ms = number_of(&mut i, "--read-timeout-ms")?;
-                if ms == 0 {
-                    return Err("--read-timeout-ms must be non-zero".into());
-                }
+                let ms = flag_count(args, &mut i, "--read-timeout-ms")?;
                 config.read_timeout = Duration::from_millis(ms as u64);
                 config.write_timeout = Duration::from_millis(ms as u64);
             }
@@ -183,19 +94,18 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<P
     let Some(socket) = socket else {
         return Err("--socket PATH is required".into());
     };
-    if let Some(n) = accesses {
-        cfg = cfg.with_accesses(n);
-    }
+    let cfg = flags.config();
     cfg.sim.validate().map_err(|e| e.to_string())?;
-    if let Some(n) = decode_threads {
-        if config.caches.pipeline_depth == 0 {
-            return Err("--decode-threads is only meaningful with --replay-pipeline DEPTH".into());
-        }
-        config.caches.decode_threads = n;
-    }
     config.socket = socket;
     config.cfg = cfg;
-    Ok((config, metrics_out, calibrate_from))
+    if let Some(threads) = flags.threads {
+        config.threads = threads;
+    }
+    config.caches = CampaignCaches {
+        result_memory: config.caches.result_memory,
+        ..flags.caches
+    };
+    Ok((config, flags.metrics_out, flags.calibrate_from))
 }
 
 /// Fits the campaign's job-cost model from pre-loaded manifest timings,

@@ -5,10 +5,8 @@
 //! ```text
 //! stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]
 //!                  [--figures ID[,ID...]] [--format text|json] [--csv DIR]
-//!                  [--trace-cache DIR] [--result-cache DIR] [--cache-verify]
-//!                  [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]
-//!                  [--trace-codec v2|v3] [--metrics-out FILE]
-//!                  [--calibrate-from DIR]
+//!                  [--result-cache DIR] [--cache-verify] [--stream-traces]
+//!                  [--metrics-out FILE] [--calibrate-from DIR]
 //!                  [--shard I/N --shard-out DIR [--shard-balance count|cost]
 //!                   | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]
 //!                  [EXPERIMENT ...]
@@ -24,34 +22,21 @@
 //! jobs complete (in selection order), so the first table appears long
 //! before a many-figure run finishes.
 //!
-//! `--trace-cache DIR` persists generated traces and `--result-cache DIR`
-//! memoizes finished job outputs across runs (the same directory works for
-//! both); `--cache-verify` cross-checks every loaded entry against its
-//! requesting spec and regenerates on mismatch. A warm run renders
-//! byte-identical stdout while skipping all trace generation and replay;
-//! the cache counters are reported in a `run summary:` block on stderr.
+//! `--result-cache DIR` memoizes finished job outputs across runs;
+//! `--cache-verify` cross-checks every loaded entry against its requesting
+//! job and reruns on mismatch. A warm run renders byte-identical stdout
+//! while skipping all trace generation and replay; the cache counters are
+//! reported in a `run summary:` block on stderr. Traces are never
+//! persisted: generators are deterministic, and regenerating a trace is
+//! cheaper than reading it back.
 //!
 //! # Out-of-core replay
 //!
-//! `--stream-traces` replays every trace as a chunked stream instead of a
-//! materialized in-memory vector, so peak memory is independent of trace
-//! length (`--accesses` can exceed available RAM). Pair it with
-//! `--trace-cache DIR`: each trace is generated straight into a sealed
-//! chunk-framed file once and streamed from disk by every job; without a
-//! cache each job streams its own generator. Stdout is byte-identical to
-//! the materialized path either way, and a `streamed replay:` line joins
-//! the stderr run summary.
-//!
-//! `--replay-pipeline DEPTH` (implies `--stream-traces`) runs each streamed
-//! replay through the staged prefetch→decode→simulate engine with `DEPTH`
-//! chunks in flight; `--decode-threads N` adds checksum/decode workers.
-//! All concurrent pipelines share one campaign-global in-flight byte budget,
-//! stdout stays byte-identical to the serial path, and a `pipelined replay:`
-//! line joins the stderr run summary. `DEPTH` must be at least 2 (depth 1
-//! could never overlap anything). `--replay-pipeline auto` picks for you:
-//! serial streaming on a single-hardware-thread box (where staging overhead
-//! cannot be overlapped and measurably loses), depth 2 when threads exist
-//! to overlap prefetch/decode with simulation.
+//! `--stream-traces` makes every job stream its own trace generator chunk
+//! by chunk instead of replaying a materialized in-memory trace, so peak
+//! memory is independent of trace length (`--accesses` can exceed
+//! available RAM). Stdout is byte-identical to the materialized path, and
+//! a `streamed replay:` line joins the stderr run summary.
 //!
 //! # Cost-model scheduling
 //!
@@ -66,25 +51,17 @@
 //! predicted total, the calibration fit (when one ran) and the
 //! predicted-vs-actual error of the finished run.
 //!
-//! `--trace-codec v2|v3` selects the payload codec of newly written trace
-//! files. The default, `v3`, compresses each chunk column by column
-//! (roughly 2–6x smaller on disk); `v2` keeps the fixed-width row layout.
-//! Reading is version-dispatched, so caches written under either codec
-//! replay unchanged — and byte-identically — whatever the flag says. With
-//! `--stream-traces` the effective ratio is reported on an indented
-//! `compression:` line under the streamed-replay summary.
-//!
 //! # Telemetry
 //!
 //! Every run records into the process-wide `stms_obs` metrics registry:
-//! per-job queue/run/total phase histograms (also keyed per figure),
-//! pipeline stage timings (prefetch, decode, budget stall, simulate —
-//! pipelined replays only), cache tier hit/miss/evict latencies, and
-//! in-flight dedup counters. The snapshot is rendered as a `telemetry:`
-//! block at the end of the stderr run summary, and `--metrics-out FILE`
-//! additionally writes it as a versioned JSON document
-//! (`"stms-metrics/v1"`). Telemetry never writes to stdout, so figure
-//! output stays byte-identical to an uninstrumented run. Shard runs embed
+//! per-job queue/run/total phase histograms (also keyed per figure), the
+//! per-chunk simulate time of streamed replays (`pipeline.simulate_ns`),
+//! trace-store and result-cache latencies, and in-flight dedup counters.
+//! The snapshot is rendered as a `telemetry:` block at the end of the
+//! stderr run summary, and `--metrics-out FILE` additionally writes it as
+//! a versioned JSON document (`"stms-metrics/v1"`). Telemetry never writes
+//! to stdout, so figure output stays byte-identical to an uninstrumented
+//! run. Shard runs embed
 //! their per-job phase timings into the sealed manifest; `--merge-shards`
 //! folds every shard's timings back into `merge.queue_ns`/`merge.run_ns`,
 //! aggregating fleet-wide timing without rerunning anything.
@@ -137,6 +114,7 @@ use std::process::ExitCode;
 use stms_sim::campaign::{
     cost, push_cache_reports, Calibration, Campaign, CampaignCaches, JobCostModel, ShardSpec,
 };
+use stms_sim::cli::{flag_value, CampaignFlags};
 use stms_sim::experiments::{self, ALL_IDS};
 use stms_sim::{ExperimentConfig, FigurePlan, FigureResult};
 use stms_stats::{RunSummary, SchedReport, TelemetryReport};
@@ -168,10 +146,8 @@ fn usage() -> String {
     format!(
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
          \x20                       [--figures ID[,ID...]] [--format text|json] [--csv DIR]\n\
-         \x20                       [--trace-cache DIR] [--result-cache DIR] [--cache-verify]\n\
-         \x20                       [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]\n\
-         \x20                       [--trace-codec v2|v3] [--metrics-out FILE]\n\
-         \x20                       [--calibrate-from DIR]\n\
+         \x20                       [--result-cache DIR] [--cache-verify] [--stream-traces]\n\
+         \x20                       [--metrics-out FILE] [--calibrate-from DIR]\n\
          \x20                       [--shard I/N --shard-out DIR [--shard-balance count|cost]\n\
          \x20                        | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]\n\
          \x20                       [EXPERIMENT ...]\n\
@@ -181,61 +157,33 @@ fn usage() -> String {
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut cfg = ExperimentConfig::scaled();
-    let mut threads = stms_sim::JobPool::default_threads();
+    let mut flags = CampaignFlags::default();
     let mut selected: Vec<String> = Vec::new();
     let mut format = Format::Text;
     let mut csv_dir: Option<String> = None;
     let mut warmup: Option<f64> = None;
-    let mut accesses: Option<usize> = None;
-    let mut caches = CampaignCaches::default();
-    let mut decode_threads: Option<usize> = None;
     let mut shard: Option<ShardSpec> = None;
     let mut shard_out: Option<PathBuf> = None;
     let mut shard_balance: Option<ShardBalance> = None;
-    let mut calibrate_from: Option<PathBuf> = None;
     let mut merge_dirs: Vec<PathBuf> = Vec::new();
     let mut retry_manifest: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
 
     let mut i = 0;
-    let value_of = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
     while i < args.len() {
+        if flags.take(args, &mut i)? {
+            i += 1;
+            continue;
+        }
         match args[i].as_str() {
-            "--quick" => cfg = ExperimentConfig::quick(),
-            "--accesses" => {
-                let v = value_of(&mut i, "--accesses")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--accesses requires a number, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--accesses must be non-zero".into());
-                }
-                accesses = Some(n);
-            }
-            "--threads" => {
-                let v = value_of(&mut i, "--threads")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads requires a number, got `{v}`"))?;
-                if threads == 0 {
-                    return Err("--threads must be non-zero".into());
-                }
-            }
             "--warmup" => {
-                let v = value_of(&mut i, "--warmup")?;
+                let v = flag_value(args, &mut i, "--warmup")?;
                 warmup = Some(
                     v.parse()
                         .map_err(|_| format!("--warmup requires a fraction, got `{v}`"))?,
                 );
             }
             "--figures" => {
-                let v = value_of(&mut i, "--figures")?;
+                let v = flag_value(args, &mut i, "--figures")?;
                 selected.extend(
                     v.split(',')
                         .map(str::trim)
@@ -244,94 +192,31 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--format" => {
-                let v = value_of(&mut i, "--format")?;
+                let v = flag_value(args, &mut i, "--format")?;
                 format = match v.as_str() {
                     "text" => Format::Text,
                     "json" => Format::Json,
                     other => return Err(format!("--format must be text or json, got `{other}`")),
                 };
             }
-            "--csv" => csv_dir = Some(value_of(&mut i, "--csv")?),
-            "--trace-cache" => {
-                caches.trace_dir = Some(value_of(&mut i, "--trace-cache")?.into());
-            }
-            "--result-cache" => {
-                caches.result_dir = Some(value_of(&mut i, "--result-cache")?.into());
-            }
-            "--cache-verify" => caches.verify = true,
-            "--stream-traces" => caches.stream_traces = true,
-            "--replay-pipeline" => {
-                let v = value_of(&mut i, "--replay-pipeline")?;
-                if v == "auto" {
-                    // On a single-hardware-thread box the pipeline stages
-                    // cannot overlap, so staging overhead is pure loss (the
-                    // committed bench shows depth 2 slower than serial
-                    // there): fall back to serial streaming. Anywhere else,
-                    // the minimal depth that overlaps prefetch with
-                    // simulation.
-                    let parallelism = std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1);
-                    if parallelism <= 1 {
-                        caches.stream_traces = true;
-                    } else {
-                        caches.pipeline_depth = 2;
-                    }
-                } else {
-                    let depth: usize = v.parse().map_err(|_| {
-                        format!("--replay-pipeline requires a depth or `auto`, got `{v}`")
-                    })?;
-                    if depth < 2 {
-                        return Err(format!(
-                            "--replay-pipeline depth must be at least 2 \
-                             (got {depth}); a depth-1 pipeline could never \
-                             overlap prefetch with simulation"
-                        ));
-                    }
-                    caches.pipeline_depth = depth;
-                }
-            }
-            "--trace-codec" => {
-                let v = value_of(&mut i, "--trace-codec")?;
-                caches.trace_codec = match v.as_str() {
-                    "v2" => stms_types::TraceCodec::V2,
-                    "v3" => stms_types::TraceCodec::V3,
-                    other => return Err(format!("--trace-codec must be v2 or v3, got `{other}`")),
-                };
-            }
-            "--decode-threads" => {
-                let v = value_of(&mut i, "--decode-threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--decode-threads requires a number, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--decode-threads must be non-zero".into());
-                }
-                decode_threads = Some(n);
-            }
-            "--metrics-out" => {
-                metrics_out = Some(value_of(&mut i, "--metrics-out")?.into());
-            }
+            "--csv" => csv_dir = Some(flag_value(args, &mut i, "--csv")?),
             "--retry-failed" => {
-                retry_manifest = Some(value_of(&mut i, "--retry-failed")?.into());
+                retry_manifest = Some(flag_value(args, &mut i, "--retry-failed")?.into());
             }
             "--shard" => {
-                let v = value_of(&mut i, "--shard")?;
+                let v = flag_value(args, &mut i, "--shard")?;
                 shard = Some(ShardSpec::parse(&v)?);
             }
-            "--shard-out" => shard_out = Some(value_of(&mut i, "--shard-out")?.into()),
+            "--shard-out" => shard_out = Some(flag_value(args, &mut i, "--shard-out")?.into()),
             "--shard-balance" => {
-                let v = value_of(&mut i, "--shard-balance")?;
+                let v = flag_value(args, &mut i, "--shard-balance")?;
                 shard_balance =
                     Some(ShardBalance::parse(&v).ok_or_else(|| {
                         format!("--shard-balance must be count or cost, got `{v}`")
                     })?);
             }
-            "--calibrate-from" => {
-                calibrate_from = Some(value_of(&mut i, "--calibrate-from")?.into());
-            }
             "--merge-shards" => {
-                let v = value_of(&mut i, "--merge-shards")?;
+                let v = flag_value(args, &mut i, "--merge-shards")?;
                 let before = merge_dirs.len();
                 merge_dirs.extend(
                     v.split(',')
@@ -354,9 +239,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
 
     // Overrides apply after `--quick`/default selection, in any flag order.
-    if let Some(n) = accesses {
-        cfg = cfg.with_accesses(n);
-    }
+    let mut cfg = flags.config();
     // The fallible construction path: command-line options go through
     // SimOptions validation before any simulation starts.
     if let Some(fraction) = warmup {
@@ -366,14 +249,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             .map_err(|e| e.to_string())?;
     }
     cfg.sim.validate().map_err(|e| e.to_string())?;
-
-    // Decode workers only exist inside a pipeline.
-    if let Some(n) = decode_threads {
-        if caches.pipeline_depth == 0 {
-            return Err("--decode-threads is only meaningful with --replay-pipeline DEPTH".into());
-        }
-        caches.decode_threads = n;
-    }
+    let calibrate_from = flags.calibrate_from;
 
     // Sharding flags must form a coherent mode.
     let modes = [
@@ -429,18 +305,20 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     Ok(Options {
         cfg,
-        threads,
+        threads: flags
+            .threads
+            .unwrap_or_else(stms_sim::JobPool::default_threads),
         selected,
         format,
         csv_dir,
-        caches,
+        caches: flags.caches,
         shard,
         shard_out,
         shard_balance: shard_balance.unwrap_or_default(),
         calibrate_from,
         merge_dirs,
         retry_manifest,
-        metrics_out,
+        metrics_out: flags.metrics_out,
     })
 }
 

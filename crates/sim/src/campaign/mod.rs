@@ -17,19 +17,17 @@
 //!    *every* requested figure up front, so independent cells from
 //!    different figures interleave on the same pool.
 //!
-//! On top of the per-campaign sharing, two *persistent* tiers (enabled with
-//! [`Campaign::with_caches`]) extend the sharing across campaign processes,
-//! mirroring how the paper's own meta-data earns its keep by living
-//! off-chip and persisting across program runs:
-//!
-//! * the [`TraceStore`]'s disk tier persists generated traces keyed by a
-//!   stable content fingerprint of the generating [`WorkloadSpec`], and
-//! * the [`ResultStore`] memoizes every finished [`JobOutput`] keyed by the
-//!   fingerprint of `(spec, trace length, task, system, engine options)`,
-//!   so a warm re-run (say, after a render-stage tweak) replays nothing.
-//!
-//! Both tiers treat every unreadable, stale or corrupt file as a miss —
-//! evict and regenerate — so a cache directory can never poison a result.
+//! On top of the per-campaign sharing, a *persistent* result cache (enabled
+//! with [`Campaign::with_caches`]) extends the sharing across campaign
+//! processes, mirroring how the paper's own meta-data earns its keep by
+//! living off-chip and persisting across program runs: the [`ResultStore`]
+//! memoizes every finished [`JobOutput`] keyed by the fingerprint of
+//! `(spec, trace length, task, system, engine options)`, so a warm re-run
+//! (say, after a render-stage tweak) replays nothing. It treats every
+//! unreadable, stale or corrupt file as a miss — evict and rerun — so a
+//! cache directory can never poison a result. Traces themselves are never
+//! persisted: generators are deterministic, and regenerating a trace is
+//! cheaper than reading it back.
 //!
 //! # Example
 //!
@@ -63,7 +61,7 @@ pub use result_store::{
     ResultStore, ResultStoreStats, DEFAULT_MEMO_BUDGET_BYTES, JOB_OUTPUT_CODEC_VERSION,
 };
 pub use shard::{MergeError, MergedShards, ShardSpec};
-pub use trace_store::{DiskTierConfig, TraceStore, TraceStoreStats};
+pub use trace_store::{TraceStore, TraceStoreStats};
 
 use crate::experiments::FigureResult;
 use crate::runner::run_trace;
@@ -75,10 +73,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use stms_mem::CmpSimulator;
 use stms_prefetch::MissTraceCollector;
-use stms_types::{
-    Fingerprint, Fingerprintable, InflightBudget, PipelineConfig, ShardBalance, ShardJobTiming,
-    ShardManifest,
-};
+use stms_types::{Fingerprint, Fingerprintable, ShardBalance, ShardJobTiming, ShardManifest};
 use stms_workloads::WorkloadSpec;
 
 /// The render stage of a [`FigurePlan`]: folds the plan's job outputs
@@ -175,48 +170,23 @@ impl std::error::Error for CampaignError {}
 
 /// Persistent-cache configuration of a [`Campaign`].
 ///
-/// The default has no persistence: every campaign regenerates and replays
-/// from scratch, exactly as before. Point `trace_dir`/`result_dir` at
-/// directories (the same directory is fine — the tiers use disjoint file
-/// prefixes) to share work across campaign processes.
+/// The default has no persistence: every campaign generates and replays
+/// from scratch. Point `result_dir` at a directory to share finished job
+/// outputs across campaign processes.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignCaches {
-    /// Directory of the [`TraceStore`] disk tier (`--trace-cache`).
-    pub trace_dir: Option<std::path::PathBuf>,
     /// Directory of the [`ResultStore`] (`--result-cache`).
     pub result_dir: Option<std::path::PathBuf>,
     /// Deep verification of decoded entries (`--cache-verify`): cross-check
-    /// each loaded artifact against the spec/job that requested it and
-    /// regenerate on mismatch, instead of trusting the sealed envelope.
+    /// each loaded output against the job that requested it and rerun on
+    /// mismatch, instead of trusting the sealed envelope.
     pub verify: bool,
-    /// Byte budget of the trace tier; oldest entries are evicted after each
-    /// write when set.
-    pub trace_max_bytes: Option<u64>,
-    /// Out-of-core replay (`--stream-traces`): jobs replay traces chunk by
-    /// chunk through [`TraceStore::replay_streaming`] instead of holding a
-    /// materialized [`stms_types::SharedTrace`], so peak memory is
-    /// independent of trace length. Pair with `trace_dir` so the trace is
-    /// generated once into a chunk-framed file and streamed by every job;
-    /// without a disk tier each job streams its own generator. Rendered
-    /// output is byte-identical either way.
+    /// Out-of-core replay (`--stream-traces`): every job streams its own
+    /// generator chunk by chunk through [`TraceStore::replay_streaming`]
+    /// instead of holding a materialized [`stms_types::SharedTrace`], so
+    /// peak memory is independent of trace length. Rendered output is
+    /// byte-identical either way.
     pub stream_traces: bool,
-    /// Prefetch depth of the staged replay pipeline (`--replay-pipeline`):
-    /// `0` replays serially on the job thread; `>= 2` overlaps chunk
-    /// read/decode with simulation, keeping up to this many decoded chunks
-    /// in flight per job. Implies `stream_traces`. (Depth `1` is rejected
-    /// at the CLI; the library clamps it up to the double-buffered minimum,
-    /// [`stms_types::MIN_PIPELINE_DEPTH`].)
-    pub pipeline_depth: usize,
-    /// Decode workers per pipelined replay (`--decode-threads`); `0` means
-    /// one. Only meaningful with `pipeline_depth > 0`.
-    pub decode_threads: usize,
-    /// Payload codec for newly written trace files (`--trace-codec`). The
-    /// default, [`stms_types::TraceCodec::V3`], writes columnar compressed
-    /// chunks; [`stms_types::TraceCodec::V2`] keeps the fixed-width row
-    /// layout. Reading is
-    /// version-dispatched, so existing caches of either codec replay
-    /// unchanged whatever this is set to.
-    pub trace_codec: stms_types::TraceCodec,
     /// Memoize job outputs in memory even when `result_dir` is `None`
     /// (see [`ResultStore::in_memory`]). A long-lived server sets this so
     /// repeated requests for the same cell never replay, and so in-flight
@@ -227,73 +197,36 @@ pub struct CampaignCaches {
 }
 
 impl CampaignCaches {
-    /// Both tiers on one shared directory.
+    /// A result cache in `dir`.
     pub fn in_dir(dir: impl Into<std::path::PathBuf>) -> Self {
-        let dir = dir.into();
         CampaignCaches {
-            trace_dir: Some(dir.clone()),
-            result_dir: Some(dir),
+            result_dir: Some(dir.into()),
             ..Self::default()
         }
     }
 }
 
-/// Campaign-global cap on decoded bytes buffered by all concurrently
-/// running replay pipelines. The budget is shared across the whole
-/// [`JobPool`] — not per job — so raising the worker count or pipeline
-/// depth cannot multiply peak replay memory past this bound.
-pub const PIPELINE_BUDGET_BYTES: u64 = 64 << 20;
-
 /// Combined cache counters of one campaign (see [`Campaign::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignCacheStats {
-    /// Trace-tier counters.
+    /// Trace-store counters.
     pub trace: TraceStoreStats,
     /// Result-tier counters, when a result cache is configured.
     pub result: Option<ResultStoreStats>,
 }
 
-/// Appends one line per configured cache tier (plus the streamed-replay and
-/// pipeline counters when those modes are on) to a stderr `run summary:`
-/// block. Shared by the `stms-experiments` and `stms-serve` binaries so
-/// their accounting lines stay identical.
+/// Appends the streamed-replay line (when streaming is on) and the result
+/// cache line (when one is configured) to a stderr `run summary:` block.
+/// Shared by the `stms-experiments` and `stms-serve` binaries so their
+/// accounting lines stay identical.
 pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campaign) {
-    use stms_stats::{CacheReport, PipelineReport, StreamReport};
+    use stms_stats::{CacheReport, StreamReport};
     let stats = campaign.cache_stats();
-    let trace = stats.trace;
     if campaign.store().is_streaming() {
         summary.push_stream(StreamReport {
-            replays: trace.stream_replays,
-            chunks: trace.stream_chunks,
-            fallbacks: trace.stream_fallbacks,
-            disk_bytes: trace.stream_disk_bytes,
-            decoded_bytes: trace.stream_decoded_bytes,
+            replays: stats.trace.stream_replays,
+            chunks: stats.trace.stream_chunks,
         });
-    }
-    let pipeline = campaign.store().pipeline_config();
-    if !pipeline.is_serial() {
-        summary.push_pipeline(PipelineReport {
-            depth: pipeline.depth as u64,
-            decode_threads: pipeline.decode_threads as u64,
-            chunks_prefetched: trace.pipeline_chunks,
-            stalls_full: trace.pipeline_stalls_full,
-            stalls_empty: trace.pipeline_stalls_empty,
-            peak_bytes_in_flight: trace.pipeline_peak_bytes,
-        });
-    }
-    if campaign.store().disk_dir().is_some() {
-        summary.push(
-            CacheReport::new(
-                "trace cache",
-                trace.hits + trace.disk_hits,
-                trace.disk_misses,
-            )
-            .with_detail("generated", trace.generated)
-            .with_detail("disk hits", trace.disk_hits)
-            .with_detail("writes", trace.disk_writes)
-            .with_detail("evictions", trace.disk_evictions)
-            .with_detail("resident bytes", trace.disk_bytes),
-        );
     }
     if let Some(result) = stats.result {
         summary.push(
@@ -540,26 +473,7 @@ impl Campaign {
         threads: usize,
         caches: CampaignCaches,
     ) -> std::io::Result<Self> {
-        let mut store = match &caches.trace_dir {
-            Some(dir) => {
-                let mut tier = DiskTierConfig::new(dir).with_verify(caches.verify);
-                tier.max_bytes = caches.trace_max_bytes;
-                TraceStore::with_disk_tier(tier)?
-            }
-            None => TraceStore::new(),
-        }
-        .with_streaming(caches.stream_traces || caches.pipeline_depth > 0)
-        .with_codec(caches.trace_codec);
-        if caches.pipeline_depth > 0 {
-            store = store
-                .with_pipeline(
-                    PipelineConfig::with_depth(caches.pipeline_depth)
-                        .with_decode_threads(caches.decode_threads.max(1)),
-                )
-                // One budget for the whole pool: every job's pipeline draws
-                // from the same cap.
-                .with_pipeline_budget(Arc::new(InflightBudget::new(PIPELINE_BUDGET_BYTES)));
-        }
+        let store = TraceStore::new().with_streaming(caches.stream_traces);
         let results = match &caches.result_dir {
             Some(dir) => Some(Arc::new(ResultStore::open(dir)?.with_verify(caches.verify))),
             None if caches.result_memory => Some(Arc::new(ResultStore::in_memory())),
@@ -1610,9 +1524,9 @@ fn execute_job(
 /// The actual generate/replay work of one job, no caching layers involved.
 fn run_job_uncached(cfg: &ExperimentConfig, store: &TraceStore, job: &JobSpec) -> JobOutput {
     if store.is_streaming() {
-        // Out-of-core path: the job drives a chunked TraceSource (a
-        // disk-tier reader, or the generator itself) and never holds the
-        // trace; output is bit-identical to the materialized path.
+        // Out-of-core path: the job drives its own generator as a chunked
+        // TraceSource and never holds the trace; output is bit-identical to
+        // the materialized path.
         match job.task {
             JobTask::Replay(ref kind) => {
                 store.replay_streaming(&job.workload, cfg.accesses, |source| {
@@ -1897,35 +1811,6 @@ mod tests {
         assert!(stats.stream_replays > 0, "{stats:?}");
         assert!(stats.stream_chunks >= stats.stream_replays);
         assert_eq!(stats.hits, 0, "nothing was materialized");
-
-        // Streaming over a shared trace cache: one generation, files
-        // streamed by every job, still byte-identical.
-        let dir =
-            std::env::temp_dir().join(format!("stms-campaign-stream-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cached = Campaign::with_caches(
-            cfg.clone(),
-            2,
-            CampaignCaches {
-                trace_dir: Some(dir.clone()),
-                stream_traces: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let from_disk: Vec<String> = cached
-            .run_figures(plans(&cfg))
-            .into_iter()
-            .map(|figure| figure.expect("no job fails").render())
-            .collect();
-        assert_eq!(from_disk, direct);
-        let stats = cached.store().stats();
-        assert_eq!(
-            stats.generated, 8,
-            "each distinct workload generated exactly once"
-        );
-        assert!(stats.disk_hits > stats.generated, "jobs streamed the files");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub fn write_manifest(dir: &Path, manifest: &ShardManifest) -> io::Result<(PathB
     fs::create_dir_all(dir)?;
     let sealed = manifest.seal();
     let path = dir.join(manifest.file_name());
-    let tmp = dir.join(super::trace_store::unique_tmp_name(
+    let tmp = dir.join(super::result_store::unique_tmp_name(
         ShardManifest::seal_key(manifest.config, manifest.index, manifest.count),
     ));
     fs::write(&tmp, &sealed)

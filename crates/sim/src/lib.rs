@@ -17,6 +17,8 @@
 //! * [`campaign::shard`] — distributed campaigns: deterministic
 //!   fingerprint-based job partitioning, sealed shard manifests, and a
 //!   merge stage that renders byte-identical output from shard slices;
+//! * [`cli`] — the campaign flags the `stms-experiments` and `stms-serve`
+//!   binaries share;
 //! * the `stms-experiments` binary — command-line front end
 //!   (`--figures`, `--threads`, `--format text|json`, `--shard I/N`,
 //!   `--merge-shards DIR`).
@@ -37,6 +39,7 @@
 
 pub mod ablation;
 pub mod campaign;
+pub mod cli;
 pub mod experiments;
 pub mod runner;
 pub mod system;
@@ -46,9 +49,8 @@ pub use ablation::{
 };
 pub use campaign::{
     job_fingerprint, Campaign, CampaignCacheStats, CampaignCaches, CampaignError, CancelToken,
-    DiskTierConfig, FigurePlan, FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask,
-    MergeError, MergedShards, ResultStore, ResultStoreStats, ShardRun, ShardSpec, TraceStore,
-    TraceStoreStats,
+    FigurePlan, FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask, MergeError,
+    MergedShards, ResultStore, ResultStoreStats, ShardRun, ShardSpec, TraceStore, TraceStoreStats,
 };
 pub use experiments::FigureResult;
 pub use runner::{

@@ -155,8 +155,8 @@ pub fn run_trace(cfg: &ExperimentConfig, trace: &Trace, kind: &PrefetcherKind) -
 ///
 /// # Errors
 ///
-/// Propagates the source's [`TraceStreamError`] (a corrupt or truncated
-/// disk stream); callers fall back to regeneration.
+/// Propagates the source's [`TraceStreamError`] (only I/O-backed sources
+/// fail; in-memory traces and generators never do).
 pub fn run_source(
     cfg: &ExperimentConfig,
     source: &mut dyn TraceSource,

@@ -1,7 +1,7 @@
 //! Run summaries: compact cache-hit reporting for campaign drivers.
 //!
-//! The campaign layer's two persistent tiers (trace files and memoized job
-//! outputs) each expose raw counters; this module renders them as the short
+//! The campaign layer's trace store and result cache each expose raw
+//! counters; this module renders them as the short
 //! per-run block the `stms-experiments` binary prints to stderr, so a user
 //! can see at a glance whether a run was served from cache ("warm") or had
 //! to simulate ("cold") — and CI can assert on the same lines.
@@ -13,13 +13,13 @@
 //!
 //! let mut summary = RunSummary::new();
 //! summary.push(
-//!     CacheReport::new("traces", 13, 0)
-//!         .with_detail("generated", 0)
+//!     CacheReport::new("result cache", 13, 0)
+//!         .with_detail("replayed", 0)
 //!         .with_detail("disk hits", 8),
 //! );
 //! let text = summary.render();
 //! assert!(text.starts_with("run summary:"));
-//! assert!(text.contains("traces: 13 hits, 0 misses (100.0% hit rate, generated 0, disk hits 8)"));
+//! assert!(text.contains("result cache: 13 hits, 0 misses (100.0% hit rate, replayed 0, disk hits 8)"));
 //! ```
 
 use std::fmt::Write as _;
@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 /// Counters of one cache tier, plus optional named detail counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheReport {
-    /// Tier name, e.g. `"traces"` or `"results"`.
+    /// Tier name, e.g. `"result cache"`.
     pub name: String,
     /// Lookups served without doing the work.
     pub hits: u64,
@@ -212,85 +212,22 @@ impl SchedReport {
 }
 
 /// Counters of the out-of-core replay path (`--stream-traces`): how many
-/// replays were served as chunked streams, how many chunks flowed through
-/// them, and how many attempts had to fall back to regeneration because a
-/// backing file failed mid-stream.
+/// replays were served as chunked generator streams and how many chunks
+/// flowed through them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamReport {
     /// Replays served chunk by chunk, without a materialized trace.
     pub replays: u64,
     /// Chunks delivered to those replays.
     pub chunks: u64,
-    /// Streamed attempts abandoned mid-stream (evicted and retried).
-    pub fallbacks: u64,
-    /// Bytes read from disk by the replays that completed (compressed
-    /// bytes under trace codec v3).
-    pub disk_bytes: u64,
-    /// Decoded bytes those same replays delivered to the simulator.
-    pub decoded_bytes: u64,
 }
 
 impl StreamReport {
-    /// One summary line, e.g.
-    /// `streamed replay: 16 replays, 128 chunks, 0 fallbacks`.
+    /// One summary line, e.g. `streamed replay: 16 replays, 128 chunks`.
     pub fn render_line(&self) -> String {
         format!(
-            "streamed replay: {} replays, {} chunks, {} fallbacks",
-            self.replays, self.chunks, self.fallbacks
-        )
-    }
-
-    /// The on-disk codec's effective compression, e.g.
-    /// `compression: 1234567 bytes on disk, 7200000 decoded (5.83x)`.
-    /// `None` when no replay touched the disk tier (generator-only
-    /// streaming has no on-disk bytes to compare).
-    pub fn compression_line(&self) -> Option<String> {
-        if self.disk_bytes == 0 {
-            return None;
-        }
-        let ratio = self.decoded_bytes as f64 / self.disk_bytes as f64;
-        Some(format!(
-            "compression: {} bytes on disk, {} decoded ({ratio:.2}x)",
-            self.disk_bytes, self.decoded_bytes
-        ))
-    }
-}
-
-/// Counters of the staged replay pipeline (`--replay-pipeline`): how far
-/// the prefetching reader ran ahead, where the stages stalled, and the
-/// high-water mark of decoded bytes buffered between them. Stalls are the
-/// diagnostic payload: full stalls mean the consumer is the bottleneck,
-/// empty stalls mean the disk/decode side is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PipelineReport {
-    /// Configured prefetch depth (chunks the reader may run ahead).
-    pub depth: u64,
-    /// Configured checksum/decode worker count.
-    pub decode_threads: u64,
-    /// Chunks the reader stages lifted off their sources.
-    pub chunks_prefetched: u64,
-    /// Times a reader stalled because every prefetch slot was full or the
-    /// shared in-flight byte budget was exhausted.
-    pub stalls_full: u64,
-    /// Times a consumer stalled waiting for the next in-order chunk.
-    pub stalls_empty: u64,
-    /// High-water mark of decoded bytes in flight across the pipelines.
-    pub peak_bytes_in_flight: u64,
-}
-
-impl PipelineReport {
-    /// One summary line, e.g.
-    /// `pipelined replay: depth 4, 2 decode threads, 128 chunks prefetched, 3 full stalls, 17 empty stalls, peak 2097152 bytes in flight`.
-    pub fn render_line(&self) -> String {
-        format!(
-            "pipelined replay: depth {}, {} decode threads, {} chunks prefetched, \
-             {} full stalls, {} empty stalls, peak {} bytes in flight",
-            self.depth,
-            self.decode_threads,
-            self.chunks_prefetched,
-            self.stalls_full,
-            self.stalls_empty,
-            self.peak_bytes_in_flight
+            "streamed replay: {} replays, {} chunks",
+            self.replays, self.chunks
         )
     }
 }
@@ -370,7 +307,7 @@ impl TelemetryReport {
 }
 
 /// An ordered collection of [`ServeReport`]s, [`ShardReport`]s,
-/// [`StreamReport`]s, [`PipelineReport`]s, [`CacheReport`]s and an
+/// [`StreamReport`]s, [`CacheReport`]s and an
 /// optional [`TelemetryReport`] rendered as one block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSummary {
@@ -378,7 +315,6 @@ pub struct RunSummary {
     shards: Vec<ShardReport>,
     scheds: Vec<SchedReport>,
     streams: Vec<StreamReport>,
-    pipelines: Vec<PipelineReport>,
     reports: Vec<CacheReport>,
     telemetry: Option<TelemetryReport>,
 }
@@ -417,12 +353,6 @@ impl RunSummary {
         self.streams.push(report);
     }
 
-    /// Appends the pipelined-replay report (rendered after the stream
-    /// lines, before the cache tiers).
-    pub fn push_pipeline(&mut self, report: PipelineReport) {
-        self.pipelines.push(report);
-    }
-
     /// Attaches the telemetry block (rendered last, after the cache
     /// tiers). A later call replaces an earlier one — the registry is
     /// process-wide, so there is only ever one current snapshot.
@@ -437,7 +367,6 @@ impl RunSummary {
             && self.shards.is_empty()
             && self.scheds.is_empty()
             && self.streams.is_empty()
-            && self.pipelines.is_empty()
             && self.telemetry.as_ref().is_none_or(|t| t.lines.is_empty())
     }
 
@@ -467,16 +396,6 @@ impl RunSummary {
         for stream in &self.streams {
             out.push_str("  ");
             out.push_str(&stream.render_line());
-            out.push('\n');
-            if let Some(line) = stream.compression_line() {
-                out.push_str("    ");
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        for pipeline in &self.pipelines {
-            out.push_str("  ");
-            out.push_str(&pipeline.render_line());
             out.push('\n');
         }
         for report in &self.reports {
@@ -584,13 +503,10 @@ mod tests {
         let report = StreamReport {
             replays: 16,
             chunks: 128,
-            fallbacks: 1,
-            disk_bytes: 0,
-            decoded_bytes: 0,
         };
         assert_eq!(
             report.render_line(),
-            "streamed replay: 16 replays, 128 chunks, 1 fallbacks"
+            "streamed replay: 16 replays, 128 chunks"
         );
         let mut summary = RunSummary::new();
         summary.push(CacheReport::new("traces", 1, 0));
@@ -613,70 +529,6 @@ mod tests {
         assert!(only_stream.is_empty());
         only_stream.push_stream(StreamReport::default());
         assert!(!only_stream.is_empty());
-    }
-
-    #[test]
-    fn compression_line_renders_only_for_disk_backed_streams() {
-        // Generator-only streaming has no on-disk bytes: no line at all.
-        let memory_only = StreamReport {
-            replays: 4,
-            chunks: 32,
-            fallbacks: 0,
-            disk_bytes: 0,
-            decoded_bytes: 480_000,
-        };
-        assert_eq!(memory_only.compression_line(), None);
-
-        let warm = StreamReport {
-            disk_bytes: 1_000,
-            decoded_bytes: 2_500,
-            ..memory_only
-        };
-        assert_eq!(
-            warm.compression_line().as_deref(),
-            Some("compression: 1000 bytes on disk, 2500 decoded (2.50x)")
-        );
-
-        // In the rendered block the ratio hangs under its stream line,
-        // indented one level deeper.
-        let mut summary = RunSummary::new();
-        summary.push_stream(warm);
-        let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert!(lines[1].starts_with("  streamed replay:"), "{}", lines[1]);
-        assert_eq!(
-            lines[2],
-            "    compression: 1000 bytes on disk, 2500 decoded (2.50x)"
-        );
-    }
-
-    #[test]
-    fn pipeline_report_renders_after_streams_before_caches() {
-        let report = PipelineReport {
-            depth: 4,
-            decode_threads: 2,
-            chunks_prefetched: 128,
-            stalls_full: 3,
-            stalls_empty: 17,
-            peak_bytes_in_flight: 2_097_152,
-        };
-        assert_eq!(
-            report.render_line(),
-            "pipelined replay: depth 4, 2 decode threads, 128 chunks prefetched, \
-             3 full stalls, 17 empty stalls, peak 2097152 bytes in flight"
-        );
-        let mut summary = RunSummary::new();
-        summary.push(CacheReport::new("traces", 1, 0));
-        summary.push_pipeline(report);
-        summary.push_stream(StreamReport::default());
-        let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert!(lines[1].starts_with("  streamed replay:"), "{}", lines[1]);
-        assert!(lines[2].starts_with("  pipelined replay:"), "{}", lines[2]);
-        assert!(lines[3].starts_with("  traces:"), "{}", lines[3]);
-
-        let mut only_pipeline = RunSummary::new();
-        assert!(only_pipeline.is_empty());
-        only_pipeline.push_pipeline(PipelineReport::default());
-        assert!(!only_pipeline.is_empty());
     }
 
     #[test]

@@ -46,17 +46,15 @@ const BLOB_MAGIC: [u8; 4] = *b"STMB";
 const ENVELOPE_VERSION: u16 = 1;
 
 /// Fixed header size: magic + envelope version + codec version + key +
-/// payload length. Public so streaming readers/writers ([`crate::stream`])
-/// can frame their I/O without materializing a whole file.
+/// payload length. Public so streaming readers/writers (the chunk-framed
+/// shard manifest) can frame their I/O without materializing a whole file.
 pub const HEADER_LEN: usize = 4 + 2 + 2 + 16 + 8;
 
 /// Trailing checksum size of a sealed blob.
 pub const CHECKSUM_LEN: usize = 8;
 
 /// Byte offset of the little-endian `payload_len` field inside the fixed
-/// header (after magic, envelope version, codec version and key). Streaming
-/// writers whose payload length is unknown up front (the columnar chunk
-/// codec) seek back here to patch the real length at finish time.
+/// header (after magic, envelope version, codec version and key).
 pub(crate) const PAYLOAD_LEN_OFFSET: usize = 4 + 2 + 2 + 16;
 
 /// Why a sealed blob could not be opened.

@@ -31,8 +31,7 @@
 //!   fleets always partitioned by `fingerprint % count`, so readers report
 //!   [`ShardBalance::Count`].
 //! * **v3** (current): entries are packed into *chunks*, each framed by its
-//!   own length and checksum — the same per-chunk framing the columnar
-//!   trace codec uses. [`ShardManifest::scan`] exploits the framing to
+//!   own length and checksum. [`ShardManifest::scan`] exploits the framing to
 //!   validate a manifest of any size in bounded memory (one chunk resident
 //!   at a time) while handing each entry's absolute payload offset to the
 //!   caller, so a merge can index payloads and read them back on demand
