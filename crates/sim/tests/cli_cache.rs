@@ -98,12 +98,8 @@ fn runs_without_cache_flags_print_no_summary() {
 
 #[test]
 fn removed_trace_tier_flags_are_unknown() {
-    for flag in [
-        "--trace-cache",
-        "--trace-codec",
-        "--replay-pipeline",
-        "--decode-threads",
-    ] {
+    // The pipeline flags are covered by `cli_pipeline.rs`.
+    for flag in ["--trace-cache", "--trace-codec"] {
         let out = run_cli(&[flag, "2", "--figures", "table1"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,17 +1,9 @@
-//! Drives the real `stms-experiments` binary through the staged replay
-//! pipeline: `--replay-pipeline` must render stdout byte-identical to the
-//! serial path (with and without a trace cache, cold and warm), recover
-//! from mid-stream corruption by regenerating exactly once, and reject
-//! incoherent flag combinations.
+//! Drives the real `stms-experiments` binary with the flags of the staged
+//! replay pipeline, which no longer exists: `--replay-pipeline` and
+//! `--decode-threads` must be rejected as unknown flags with a usage error,
+//! in every argument shape they used to accept.
 
-use std::path::PathBuf;
 use std::process::Command;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("stms-cli-pipeline-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn run_cli(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_stms-experiments"))
@@ -20,143 +12,47 @@ fn run_cli(args: &[&str]) -> std::process::Output {
         .expect("spawn stms-experiments")
 }
 
-const COMMON: &[&str] = &[
-    "--quick",
-    "--accesses",
-    "4000",
-    "--threads",
-    "2",
-    "--figures",
-    "table2,fig6-left",
-];
-
-fn with(common: &[&str], extra: &[&str]) -> Vec<&'static str> {
-    common
-        .iter()
-        .chain(extra.iter())
-        .map(|s| Box::leak(s.to_string().into_boxed_str()) as &'static str)
-        .collect()
-}
-
-#[test]
-fn pipelined_replay_renders_byte_identical_stdout() {
-    let direct = run_cli(COMMON);
-    assert!(direct.status.success());
-    assert!(!direct.stdout.is_empty());
-
-    // Cache-less pipelining: streaming is implied, each job's generator is
-    // prefetched ahead of its simulator.
-    let piped = run_cli(&with(
-        COMMON,
-        &["--replay-pipeline", "4", "--decode-threads", "2"],
-    ));
-    let stderr = String::from_utf8_lossy(&piped.stderr);
-    assert!(piped.status.success(), "stderr: {stderr}");
-    assert_eq!(
-        piped.stdout, direct.stdout,
-        "pipelined stdout must be byte-identical to the serial path"
-    );
-    assert!(
-        stderr.contains("pipelined replay: depth 4, 2 decode threads"),
-        "{stderr}"
-    );
-    assert!(
-        stderr.contains("streamed replay:"),
-        "implied streaming: {stderr}"
-    );
-
-    // Over a trace cache: the cold run generates into chunk-framed files,
-    // the warm run decodes them on pipeline workers. Identical both times.
-    let dir = temp_dir("cache");
-    let dir_str = dir.to_str().expect("utf-8 temp path").to_string();
-    let flags = [
-        "--replay-pipeline",
-        "4",
-        "--decode-threads",
-        "2",
-        "--trace-cache",
-        &dir_str,
-    ];
-    let cold = run_cli(&with(COMMON, &flags));
-    let cold_err = String::from_utf8_lossy(&cold.stderr);
-    assert!(cold.status.success(), "stderr: {cold_err}");
-    assert_eq!(cold.stdout, direct.stdout);
-    assert!(cold_err.contains("generated 8,"), "{cold_err}");
-
-    let warm = run_cli(&with(COMMON, &flags));
-    let warm_err = String::from_utf8_lossy(&warm.stderr);
-    assert!(warm.status.success(), "stderr: {warm_err}");
-    assert_eq!(warm.stdout, direct.stdout);
-    assert!(warm_err.contains("generated 0,"), "{warm_err}");
-    assert!(warm_err.contains("pipelined replay:"), "{warm_err}");
-    assert!(warm_err.contains("0 fallbacks"), "{warm_err}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn pipelined_replay_recovers_from_a_corrupt_cache_file() {
-    let direct = run_cli(COMMON);
-    assert!(direct.status.success());
-
-    let dir = temp_dir("corrupt");
-    let dir_str = dir.to_str().expect("utf-8 temp path").to_string();
-    let flags = [
-        "--replay-pipeline",
-        "4",
-        "--decode-threads",
-        "2",
-        "--trace-cache",
-        &dir_str,
-    ];
-    let cold = run_cli(&with(COMMON, &flags));
-    assert!(cold.status.success());
-
-    // Corrupt a payload byte deep inside every cached trace file: the
-    // envelope still opens, so each failure surfaces mid-stream inside a
-    // decode worker.
-    let mut corrupted = 0;
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = bytes.len() - 100;
-        bytes[at] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        corrupted += 1;
-    }
-    assert!(corrupted >= 8, "one file per distinct workload");
-
-    let healed = run_cli(&with(COMMON, &flags));
-    let stderr = String::from_utf8_lossy(&healed.stderr);
-    assert!(healed.status.success(), "stderr: {stderr}");
-    assert_eq!(
-        healed.stdout, direct.stdout,
-        "fallback replay must stay byte-identical"
-    );
-    // Every corrupt file was evicted and regenerated exactly once — the
-    // `generated` count matches the cold run, not a per-retry multiple.
-    assert!(stderr.contains("generated 8,"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn pipeline_usage_errors() {
-    // A depth-1 pipeline can never overlap anything; 0 would silently mean
-    // "serial" and is refused for the same reason.
-    for depth in ["0", "1"] {
-        let out = run_cli(&["--replay-pipeline", depth, "table2"]);
-        assert_eq!(out.status.code(), Some(2), "depth {depth}");
+    for args in [
+        &["--replay-pipeline", "4", "--figures", "table2"][..],
+        &["--replay-pipeline", "1", "--figures", "table2"],
+        &[
+            "--stream-traces",
+            "--replay-pipeline",
+            "two",
+            "--figures",
+            "table2",
+        ],
+        &["--decode-threads", "2", "--figures", "table2"],
+        &[
+            "--replay-pipeline",
+            "4",
+            "--decode-threads",
+            "2",
+            "--figures",
+            "table2",
+        ],
+    ] {
+        let out = run_cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} rendered output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args
+            .iter()
+            .find(|a| a.ends_with("-pipeline") || a.ends_with("-threads"));
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("at least 2"),
-            "depth {depth}"
+            stderr.contains(&format!("unknown flag `{}`", flag.unwrap())),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: stms-experiments"), "{stderr}");
+        assert!(
+            !stderr.contains("[--replay-pipeline"),
+            "usage lists the pipeline: {stderr}"
+        );
+        assert!(
+            !stderr.contains("[--decode-threads"),
+            "usage lists decode threads: {stderr}"
         );
     }
-    let out = run_cli(&["--replay-pipeline", "two", "table2"]);
-    assert_eq!(out.status.code(), Some(2));
-
-    // Decode workers only exist inside a pipeline.
-    let out = run_cli(&["--decode-threads", "2", "table2"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--replay-pipeline"));
-    let out = run_cli(&["--replay-pipeline", "4", "--decode-threads", "0", "table2"]);
-    assert_eq!(out.status.code(), Some(2));
 }
