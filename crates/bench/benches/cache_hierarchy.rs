@@ -1,14 +1,47 @@
 //! Micro-benchmarks of the memory-hierarchy substrate: raw set-associative
-//! cache accesses and end-to-end engine throughput (simulated accesses per
-//! wall-clock second), which bounds how long each paper experiment takes.
+//! cache accesses, stride-table training, and end-to-end engine throughput
+//! (simulated accesses per wall-clock second), which bounds how long each
+//! paper experiment takes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use stms_bench::{bench_trace, chase_trace};
 use stms_core::{Stms, StmsConfig};
 use stms_mem::{
-    CacheConfig, CmpSimulator, NullPrefetcher, SetAssocCache, SimOptions, SystemConfig,
+    CacheConfig, CmpSimulator, NullPrefetcher, SetAssocCache, SimOptions, StridePrefetcher,
+    SystemConfig,
 };
-use stms_types::LineAddr;
+use stms_sim::ExperimentConfig;
+use stms_types::{AccessKind, CoreId, LineAddr, Trace};
+use stms_workloads::{generate, presets};
+
+/// Trace length of the paper-scale labels (the benchmark's `paper_cold`
+/// length).
+const PAPER_ACCESSES: usize = 100_000;
+
+/// A paper preset trace at [`PAPER_ACCESSES`] under the experiments' scaled
+/// system.
+fn paper_trace() -> (ExperimentConfig, Trace) {
+    let cfg = ExperimentConfig::scaled().with_accesses(PAPER_ACCESSES);
+    let trace = generate(&presets::oltp_db2().with_accesses(PAPER_ACCESSES));
+    (cfg, trace)
+}
+
+/// The (core, line) stream the stride prefetcher trains on: every L1 miss
+/// of `trace` through the system's per-core L1s.
+fn l1_miss_stream(cfg: &ExperimentConfig, trace: &Trace) -> Vec<(CoreId, LineAddr)> {
+    let sys = &cfg.system;
+    let mut l1: Vec<SetAssocCache> = (0..sys.cores).map(|_| SetAssocCache::new(sys.l1)).collect();
+    let mut misses = Vec::new();
+    for access in trace.iter() {
+        let cache = &mut l1[access.core.index()];
+        let write = access.kind == AccessKind::Write;
+        if !cache.access(access.line, write).is_hit() {
+            cache.fill(access.line, write);
+            misses.push((access.core, access.line));
+        }
+    }
+    misses
+}
 
 fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
@@ -33,6 +66,25 @@ fn bench_cache(c: &mut Criterion) {
                 }
             }
             black_box(hits)
+        });
+    });
+    group.finish();
+}
+
+fn bench_stride(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stride");
+    group.sample_size(20);
+    let (cfg, trace) = paper_trace();
+    let misses = l1_miss_stream(&cfg, &trace);
+    group.throughput(Throughput::Elements(misses.len() as u64));
+    group.bench_function("train_paper_miss_stream", |b| {
+        b.iter(|| {
+            let mut stride = StridePrefetcher::new(cfg.system.stride);
+            let mut predicted = 0usize;
+            for &(core, line) in &misses {
+                predicted += stride.train(core, line).len();
+            }
+            black_box(predicted)
         });
     });
     group.finish();
@@ -67,8 +119,18 @@ fn bench_engine(c: &mut Criterion) {
         });
     });
 
+    let (cfg, paper) = paper_trace();
+    group.throughput(Throughput::Elements(paper.len() as u64));
+    group.bench_function("baseline_paper_100k", |b| {
+        b.iter(|| {
+            let result =
+                CmpSimulator::new(&cfg.system, cfg.sim).run(&paper, &mut NullPrefetcher::new());
+            black_box(result.cycles)
+        });
+    });
+
     group.finish();
 }
 
-criterion_group!(benches, bench_cache, bench_engine);
+criterion_group!(benches, bench_cache, bench_stride, bench_engine);
 criterion_main!(benches);

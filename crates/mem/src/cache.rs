@@ -101,8 +101,11 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every set's ways back to back: set `s` is
+    /// `ways[s * associativity..(s + 1) * associativity]`.
+    ways: Vec<Way>,
     set_mask: u64,
+    set_bits: u32,
     lru_clock: u64,
     stats: CacheStats,
 }
@@ -123,8 +126,9 @@ impl SetAssocCache {
         );
         SetAssocCache {
             cfg,
-            sets: vec![vec![Way::EMPTY; cfg.associativity]; sets],
+            ways: vec![Way::EMPTY; sets * cfg.associativity],
             set_mask: (sets - 1) as u64,
+            set_bits: sets.trailing_zeros(),
             lru_clock: 0,
             stats: CacheStats::default(),
         }
@@ -140,7 +144,17 @@ impl SetAssocCache {
     }
 
     fn tag(&self, line: LineAddr) -> u64 {
-        line.raw() >> self.set_mask.count_ones()
+        line.raw() >> self.set_bits
+    }
+
+    fn set(&self, set: usize) -> &[Way] {
+        let assoc = self.cfg.associativity;
+        &self.ways[set * assoc..(set + 1) * assoc]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Way] {
+        let assoc = self.cfg.associativity;
+        &mut self.ways[set * assoc..(set + 1) * assoc]
     }
 
     /// Performs a lookup; on a hit the line's recency is updated and, for
@@ -151,7 +165,7 @@ impl SetAssocCache {
         let tag = self.tag(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        for way in &mut self.sets[set] {
+        for way in self.set_mut(set) {
             if way.valid && way.tag == tag {
                 way.lru = clock;
                 way.dirty |= is_write;
@@ -167,7 +181,7 @@ impl SetAssocCache {
     pub fn probe(&self, line: LineAddr) -> bool {
         let set = self.set_index(line);
         let tag = self.tag(line);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        self.set(set).iter().any(|w| w.valid && w.tag == tag)
     }
 
     /// Inserts a line, evicting the LRU way of its set if needed. Returns the
@@ -178,9 +192,10 @@ impl SetAssocCache {
         let tag = self.tag(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let set_bits = self.set_mask.count_ones();
+        let set_bits = self.set_bits;
         self.stats.fills += 1;
-        let set = &mut self.sets[set_idx];
+        let assoc = self.cfg.associativity;
+        let set = &mut self.ways[set_idx * assoc..(set_idx + 1) * assoc];
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.dirty |= dirty;
             way.lru = clock;
@@ -222,7 +237,7 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let set = self.set_index(line);
         let tag = self.tag(line);
-        for way in &mut self.sets[set] {
+        for way in self.set_mut(set) {
             if way.valid && way.tag == tag {
                 way.valid = false;
                 return Some(way.dirty);
@@ -233,7 +248,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|w| w.valid).count()
+        self.ways.iter().filter(|w| w.valid).count()
     }
 
     /// Hit/miss counters.

@@ -57,4 +57,4 @@ pub use mshr::{MshrEntry, MshrFile};
 pub use prefetcher::{NullPrefetcher, Prefetcher, StreamChunk};
 pub use result::{DecodeResultError, OverheadBreakdown, SimResult, SIM_RESULT_CODEC_VERSION};
 pub use stream::{PrefetchBuffer, PrefetchedBlock, StreamState};
-pub use stride::{StridePrefetcher, StrideStats};
+pub use stride::{StridePredictions, StridePrefetcher, StrideStats};

@@ -17,10 +17,10 @@
 //!    line. Past capacity the request is refused immediately with
 //!    [`Response::Rejected`], never silently
 //!    stalled.
-//! 2. **dedup** — every job of the run joins the campaign's singleflight
-//!    table: a cell some other client is executing *right now* is shared,
-//!    a cell finished earlier is a result-memo hit, and only genuinely new
-//!    cells replay. The memo defaults to the in-memory tier
+//! 2. **dedup** — the run submits each distinct job once, and each joins
+//!    the campaign's singleflight table: a cell some other client is
+//!    executing *right now* is shared, a cell finished earlier is a
+//!    result-memo hit, and only genuinely new cells replay. The memo defaults to the in-memory tier
 //!    ([`CampaignCaches::result_memory`]) so deduplication works with no
 //!    cache directory configured.
 //! 3. **stream** — figures are emitted as soon as their own jobs finish

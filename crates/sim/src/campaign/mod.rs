@@ -66,6 +66,7 @@ pub use trace_store::{TraceStore, TraceStoreStats};
 use crate::experiments::FigureResult;
 use crate::runner::run_trace;
 use crate::system::ExperimentConfig;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -191,7 +192,8 @@ pub struct CampaignCaches {
     /// (see [`ResultStore::in_memory`]). A long-lived server sets this so
     /// repeated requests for the same cell never replay, and so in-flight
     /// dedup has a tier to land completed outputs in; the one-shot CLI
-    /// leaves it off — a single batch already shares via the flight table.
+    /// leaves it off — a single batch already runs each distinct job once
+    /// (see [`Campaign::run_jobs`]).
     /// Ignored when `result_dir` is set (the disk-backed store subsumes it).
     pub result_memory: bool,
 }
@@ -559,6 +561,9 @@ impl Campaign {
     /// Runs a batch of jobs on the pool, resolving traces through the shared
     /// store. Results come back in job order; a panicking simulation yields
     /// `Err(JobError)` in its slot (carrying the job's stable fingerprint).
+    ///
+    /// Each distinct [`job_fingerprint`] of the batch executes once, and its
+    /// output (or error) fills every slot that asked for it.
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> Vec<Result<JobOutput, JobError>> {
         let idents = self.job_idents(&jobs);
         self.run_jobs_with_idents(jobs, idents)
@@ -572,11 +577,17 @@ impl Campaign {
         jobs: Vec<JobSpec>,
         idents: Vec<(String, Fingerprint)>,
     ) -> Vec<Result<JobOutput, JobError>> {
-        self.submit_jobs(jobs, None, None)
-            .run_to_completion()
+        let groups = distinct_groups(0..jobs.len(), &idents);
+        let submitted = group_leaders(jobs, &groups);
+        let mut outputs: Vec<Option<Result<JobOutput, JobError>>> =
+            (0..idents.len()).map(|_| None).collect();
+        let outcomes = self.submit_jobs(submitted, None, None).run_to_completion();
+        for (group, outcome) in groups.iter().zip(outcomes) {
+            fan_out(group, outcome, &idents, &mut outputs);
+        }
+        outputs
             .into_iter()
-            .zip(&idents)
-            .map(|(outcome, ident)| job_outcome(ident, outcome))
+            .map(|output| output.expect("every slot filled"))
             .collect()
     }
 
@@ -591,14 +602,15 @@ impl Campaign {
     /// [`Campaign::run_figures`]). A task resolves to `None` only when
     /// `cancel` fired before it reached a worker.
     ///
-    /// `figures[i]`, when given, labels `jobs[i]`'s phase timings with its
-    /// figure id in the telemetry registry; the phase clock itself always
-    /// runs — queue wait is measured from this enqueue to the moment a
-    /// worker picks the task up, run time from pickup to output.
+    /// `figures[i]`, when given, labels `jobs[i]`'s phase timings with the
+    /// ids of the figures waiting for it in the telemetry registry; the
+    /// phase clock itself always runs — queue wait is measured from this
+    /// enqueue to the moment a worker picks the task up, run time from
+    /// pickup to output.
     fn submit_jobs(
         &self,
         jobs: Vec<JobSpec>,
-        figures: Option<Vec<Arc<str>>>,
+        figures: Option<Vec<Vec<Arc<str>>>>,
         cancel: Option<&CancelToken>,
     ) -> BatchHandle<Option<JobOutput>> {
         let mut figures = figures.map(Vec::into_iter);
@@ -610,7 +622,7 @@ impl Campaign {
                 let results = self.results.clone();
                 let flights = Arc::clone(&self.flights);
                 let timings = Arc::clone(&self.timings);
-                let figure = figures.as_mut().and_then(Iterator::next);
+                let job_figures = figures.as_mut().and_then(Iterator::next);
                 let cancel = cancel.cloned();
                 let enqueued = std::time::Instant::now();
                 move || {
@@ -622,7 +634,7 @@ impl Campaign {
                     let (led, output) =
                         execute_job(&cfg, &store, results.as_deref(), &flights, job);
                     let run_ns = elapsed_ns(started);
-                    note_job_phases(figure.as_deref(), queue_ns, run_ns);
+                    note_job_phases(job_figures.as_deref().unwrap_or_default(), queue_ns, run_ns);
                     if let Some(fingerprint) = led {
                         timings.lock().unwrap_or_else(PoisonError::into_inner).push(
                             ShardJobTiming {
@@ -833,34 +845,40 @@ impl Campaign {
         if !plan_order {
             order.sort_by(|&a, &b| costs[b].cmp(&costs[a]).then_with(|| a.cmp(&b)));
         }
+        // Submit each distinct job once, at its first position in the
+        // order; its output fans out to every duplicate.
+        let groups = distinct_groups(order.iter().copied(), &idents);
         // A run with no jobs scheduled nothing: don't create the (empty)
         // histogram or a 0-job log — job-free figures must keep stderr as
         // quiet as they always were.
         if !jobs.is_empty() {
+            let leaders = || groups.iter().map(|group| group[0]);
             if stms_obs::is_enabled() {
                 let predicted = stms_obs::histogram("sched.predicted_ns");
-                for &cost in &costs {
-                    predicted.record(cost);
+                for i in leaders() {
+                    predicted.record(costs[i]);
                 }
             }
             *self.sched.lock().unwrap_or_else(PoisonError::into_inner) = Some(SchedLog {
-                jobs: jobs.len() as u64,
-                predicted_total_ns: costs.iter().map(|&c| u128::from(c)).sum(),
+                jobs: groups.len() as u64,
+                predicted_total_ns: leaders().map(|i| u128::from(costs[i])).sum(),
                 order: if plan_order { "plan" } else { "lpt" },
-                predicted_by_fp: idents
-                    .iter()
-                    .zip(&costs)
-                    .map(|((_, fingerprint), &cost)| (*fingerprint, cost))
-                    .collect(),
+                predicted_by_fp: leaders().map(|i| (idents[i].1, costs[i])).collect(),
             });
         }
-        let mut slots: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
-        let submitted: Vec<JobSpec> = order
+        let submitted = group_leaders(jobs, &groups);
+        let submitted_labels: Vec<Vec<Arc<str>>> = groups
             .iter()
-            .map(|&i| slots[i].take().expect("each job submitted once"))
+            .map(|group| {
+                let mut figures: Vec<Arc<str>> = Vec::with_capacity(1);
+                for &i in group {
+                    if !figures.contains(&labels[i]) {
+                        figures.push(Arc::clone(&labels[i]));
+                    }
+                }
+                figures
+            })
             .collect();
-        let submitted_labels: Vec<Arc<str>> =
-            order.iter().map(|&i| Arc::clone(&labels[i])).collect();
 
         let handle = self.submit_jobs(submitted, Some(submitted_labels), cancel);
         let mut outputs: Vec<Option<Result<JobOutput, JobError>>> =
@@ -882,10 +900,12 @@ impl Campaign {
         };
         emit_ready(&mut next, &mut parts, &mut outputs, &outstanding, &mut emit);
         for (submitted, outcome) in handle {
-            // Map the submission slot back to the job's plan position.
-            let i = order[submitted];
-            outputs[i] = Some(job_outcome(&idents[i], outcome));
-            outstanding[figure_of[i]] -= 1;
+            // Map the submission slot back to the jobs' plan positions.
+            let group = &groups[submitted];
+            fan_out(group, outcome, &idents, &mut outputs);
+            for &i in group {
+                outstanding[figure_of[i]] -= 1;
+            }
             emit_ready(&mut next, &mut parts, &mut outputs, &outstanding, &mut emit);
         }
         debug_assert_eq!(next, parts.len(), "every figure emitted");
@@ -1332,22 +1352,67 @@ fn job_outcome(
     }
 }
 
+/// Groups batch positions by job fingerprint, in the order `order` first
+/// reaches each fingerprint. A group's first position is the job to run;
+/// the rest are its duplicates, served from the same output.
+fn distinct_groups(
+    order: impl IntoIterator<Item = usize>,
+    idents: &[(String, Fingerprint)],
+) -> Vec<Vec<usize>> {
+    let mut group_of: HashMap<Fingerprint, usize> = HashMap::with_capacity(idents.len());
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(idents.len());
+    for i in order {
+        match group_of.entry(idents[i].1) {
+            Entry::Occupied(group) => groups[*group.get()].push(i),
+            Entry::Vacant(group) => {
+                group.insert(groups.len());
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
+}
+
+/// The job to run for each group: the one at the group's first position.
+fn group_leaders(jobs: Vec<JobSpec>, groups: &[Vec<usize>]) -> Vec<JobSpec> {
+    let mut slots: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
+    groups
+        .iter()
+        .map(|group| slots[group[0]].take().expect("each job submitted once"))
+        .collect()
+}
+
+/// Delivers one executed job's outcome to every batch position of its
+/// group, each labelled with its own ident.
+fn fan_out(
+    group: &[usize],
+    outcome: Result<Option<JobOutput>, JobPanic>,
+    idents: &[(String, Fingerprint)],
+    outputs: &mut [Option<Result<JobOutput, JobError>>],
+) {
+    let (&last, rest) = group.split_last().expect("groups are non-empty");
+    for &i in rest {
+        outputs[i] = Some(job_outcome(&idents[i], outcome.clone()));
+    }
+    outputs[last] = Some(job_outcome(&idents[last], outcome));
+}
+
 /// Nanoseconds since `started`, saturating at `u64::MAX`.
 fn elapsed_ns(started: std::time::Instant) -> u64 {
     started.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Feeds one job's phase split into the global metrics registry, both under
-/// the campaign-wide `job.*` histograms and — when the job belongs to a
-/// figure — under that figure's own `figure.{id}.*` series.
-fn note_job_phases(figure: Option<&str>, queue_ns: u64, run_ns: u64) {
+/// the campaign-wide `job.*` histograms and under the `figure.{id}.*` series
+/// of every figure that waited for it.
+fn note_job_phases(figures: &[Arc<str>], queue_ns: u64, run_ns: u64) {
     if !stms_obs::is_enabled() {
         return;
     }
     stms_obs::histogram("job.queue_ns").record(queue_ns);
     stms_obs::histogram("job.run_ns").record(run_ns);
     stms_obs::histogram("job.total_ns").record(queue_ns.saturating_add(run_ns));
-    if let Some(figure) = figure {
+    for figure in figures {
         stms_obs::histogram(&format!("figure.{figure}.queue_ns")).record(queue_ns);
         stms_obs::histogram(&format!("figure.{figure}.run_ns")).record(run_ns);
     }
@@ -1457,6 +1522,8 @@ fn collect_sims(
 /// job; the leader re-checks it after claiming the slot (double-checked
 /// locking against the table mutex), closing the window where a completed
 /// leader has removed its slot but a racer missed the memo before the put.
+/// Only that final look counts a miss, so the memo's miss count is the
+/// number of jobs that ran; the first look counts hits alone.
 ///
 /// Returns the job's fingerprint alongside the output only when this
 /// worker *led* the flight and ran the engine; memo hits and shared
@@ -1473,7 +1540,7 @@ fn execute_job(
     // resolution: a fully warm campaign touches no generator and no engine.
     let key = results.map(|memo| (memo, memo.job_key(cfg, &job)));
     if let Some((memo, key)) = &key {
-        if let Some(output) = memo.get(*key, cfg, &job) {
+        if let Some(output) = memo.get_or_defer_miss(*key, cfg, &job) {
             return (None, output);
         }
     }
@@ -1646,6 +1713,76 @@ mod tests {
         );
         assert_eq!(results.stores, 0, "memory-only memo writes no files");
         assert_eq!(campaign.store().stats().generated, 2);
+    }
+
+    #[test]
+    fn duplicate_jobs_in_one_batch_execute_once_without_a_memo() {
+        let campaign = Campaign::with_threads(quick(), 2);
+        let apache = || JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline);
+        let db2 = || JobSpec::replay(presets::oltp_db2(), PrefetcherKind::Baseline);
+        let jobs = vec![apache(), db2(), apache(), apache(), db2()];
+        let results = campaign.run_jobs(jobs);
+        assert_eq!(
+            campaign.flight_stats().executed,
+            2,
+            "one run per distinct job"
+        );
+        assert_eq!(campaign.flight_stats().shared, 0);
+        let encoded: Vec<_> = results
+            .iter()
+            .map(|r| r.as_ref().expect("no job fails").encode())
+            .collect();
+        assert_eq!(encoded[0], encoded[2]);
+        assert_eq!(encoded[0], encoded[3]);
+        assert_eq!(encoded[1], encoded[4]);
+        assert_ne!(encoded[0], encoded[1]);
+
+        // The figure path dedups across figures the same way.
+        let campaign = Campaign::with_threads(quick(), 2);
+        let plans = || {
+            vec![
+                crate::experiments::plan_table2(campaign.cfg()),
+                crate::experiments::plan_fig4(campaign.cfg()),
+                crate::experiments::plan_table2(campaign.cfg()),
+            ]
+        };
+        let (jobs, _) = flatten_plans(plans());
+        let distinct: std::collections::HashSet<_> = jobs
+            .iter()
+            .map(|job| job_fingerprint(campaign.cfg(), job))
+            .collect();
+        assert!(distinct.len() < jobs.len());
+        let rendered: Vec<String> = campaign
+            .run_figures(plans())
+            .into_iter()
+            .map(|figure| figure.expect("no job fails").render())
+            .collect();
+        assert_eq!(campaign.flight_stats().executed, distinct.len() as u64);
+        assert_eq!(rendered[0], rendered[2]);
+    }
+
+    #[test]
+    fn a_failed_job_fails_every_slot_that_asked_for_it() {
+        let idents = vec![
+            ("a".to_string(), Fingerprint::from_raw(1)),
+            ("b".to_string(), Fingerprint::from_raw(2)),
+            ("a-again".to_string(), Fingerprint::from_raw(1)),
+        ];
+        let groups = distinct_groups([2, 0, 1], &idents);
+        assert_eq!(
+            groups,
+            vec![vec![2, 0], vec![1]],
+            "first position in order leads"
+        );
+        let mut outputs: Vec<Option<Result<JobOutput, JobError>>> = vec![None, None, None];
+        // A job skipped by cancellation, like a panicked one, errs in every
+        // slot of its group, each under its own label.
+        fan_out(&groups[0], Ok(None), &idents, &mut outputs);
+        let failed: Vec<Option<String>> = outputs
+            .iter()
+            .map(|o| o.as_ref().map(|r| r.as_ref().unwrap_err().job.clone()))
+            .collect();
+        assert_eq!(failed, vec![Some("a".into()), None, Some("a-again".into())]);
     }
 
     #[test]

@@ -263,6 +263,29 @@ impl ResultStore {
         cfg: &ExperimentConfig,
         job: &JobSpec,
     ) -> Option<JobOutput> {
+        self.lookup(key, cfg, job, true)
+    }
+
+    /// [`ResultStore::get`] that counts a hit but not a miss: for a first
+    /// look whose miss is not final, because the caller looks again with
+    /// [`ResultStore::get`] before it runs the job. Each job that runs then
+    /// counts exactly one miss.
+    pub(crate) fn get_or_defer_miss(
+        &self,
+        key: Fingerprint,
+        cfg: &ExperimentConfig,
+        job: &JobSpec,
+    ) -> Option<JobOutput> {
+        self.lookup(key, cfg, job, false)
+    }
+
+    fn lookup(
+        &self,
+        key: Fingerprint,
+        cfg: &ExperimentConfig,
+        job: &JobSpec,
+        count_miss: bool,
+    ) -> Option<JobOutput> {
         let started = super::trace_store::obs_started();
         {
             let mut memory = self.memory.lock().unwrap_or_else(PoisonError::into_inner);
@@ -281,8 +304,10 @@ impl ResultStore {
                 Some(output)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                super::trace_store::record_elapsed("cache.result.miss_ns", started);
+                if count_miss {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    super::trace_store::record_elapsed("cache.result.miss_ns", started);
+                }
                 None
             }
         }

@@ -3,9 +3,10 @@
 //! generation and replay, survives corrupt cache files, and shares one
 //! directory between concurrent pool workers and campaigns.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::PathBuf;
-use stms_sim::campaign::{Campaign, CampaignCaches};
+use stms_sim::campaign::{job_fingerprint, Campaign, CampaignCaches};
 use stms_sim::{experiments, ExperimentConfig};
 use stms_workloads::presets;
 
@@ -23,7 +24,8 @@ fn quick() -> ExperimentConfig {
 }
 
 /// Renders a figure selection through a fresh campaign on `dir`, returning
-/// the rendered text and the campaign for stats inspection.
+/// the rendered text, the campaign for stats inspection, and the number of
+/// distinct jobs (a batch runs each distinct job once).
 fn run(dir: &PathBuf, ids: &[&str]) -> (Vec<String>, Campaign, usize) {
     let cfg = quick();
     let campaign =
@@ -32,7 +34,12 @@ fn run(dir: &PathBuf, ids: &[&str]) -> (Vec<String>, Campaign, usize) {
         .iter()
         .map(|id| experiments::plan_for_id(id, campaign.cfg()).expect("known id"))
         .collect();
-    let jobs: usize = plans.iter().map(|p| p.job_count()).sum();
+    let jobs = plans
+        .iter()
+        .flat_map(|p| p.jobs())
+        .map(|job| job_fingerprint(&cfg, job))
+        .collect::<HashSet<_>>()
+        .len();
     let rendered: Vec<String> = campaign
         .run_figures(plans)
         .into_iter()
@@ -52,10 +59,9 @@ fn warm_campaign_is_byte_identical_and_replays_nothing() {
     let cold_stats = cold.cache_stats();
     assert!(cold_stats.trace.generated > 0, "cold run must generate");
     let cold_results = cold_stats.result.expect("result cache configured");
-    // table2's baseline cells recur inside fig4, so some jobs are served
-    // without executing: from the memo, or — when the duplicate lands while
-    // its twin is still running — from the in-flight dedup table. Every
-    // *distinct* cell executes exactly once, and each execution is memoized
+    // table2's baseline cells recur inside fig4; the batch submits each
+    // distinct cell once and fans its output out to the duplicates. Every
+    // distinct cell executes exactly once, and each execution is memoized
     // exactly once.
     assert!(cold_results.misses > 0, "cold run must simulate");
     let cold_flights = cold.flight_stats();
@@ -67,7 +73,7 @@ fn warm_campaign_is_byte_identical_and_replays_nothing() {
     assert_eq!(
         cold_results.total_hits() + cold_flights.shared + cold_flights.executed,
         jobs as u64,
-        "every job is a memo hit, a shared flight, or an execution"
+        "every distinct job is a memo hit, a shared flight, or an execution"
     );
 
     // A fresh campaign on the same directory models the next process.

@@ -71,6 +71,57 @@ fn warm_full_run_is_byte_identical_and_skips_all_work() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The number after `key ` in the `result cache:` line of a run summary.
+fn result_cache_count(summary: &str, key: &str) -> u64 {
+    let line = summary
+        .lines()
+        .find(|line| line.contains("result cache:"))
+        .unwrap_or_else(|| panic!("no result cache line in: {summary}"));
+    let at = line
+        .find(&format!("{key} "))
+        .unwrap_or_else(|| panic!("no `{key}` in: {line}"));
+    line[at + key.len() + 1..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|digits| digits.parse().ok())
+        .unwrap_or_else(|| panic!("no count after `{key}` in: {line}"))
+}
+
+#[test]
+fn cold_run_counts_one_miss_per_replayed_job() {
+    // Every job a cold run replays misses once and is stored once; a
+    // duplicate job in the batch neither misses nor replays.
+    let dir = temp_dir("cold-counts");
+    let dir_str = dir.to_str().expect("utf-8 temp path");
+    let cold = run_cli(&[
+        "--quick",
+        "--accesses",
+        "4000",
+        "--threads",
+        "2",
+        "--figures",
+        "fig4,table2",
+        "--result-cache",
+        dir_str,
+    ]);
+    assert!(cold.status.success());
+    let summary = String::from_utf8_lossy(&cold.stderr);
+    let replayed = result_cache_count(&summary, "replayed");
+    assert!(replayed > 0, "the cold run replays: {summary}");
+    assert_eq!(
+        replayed,
+        result_cache_count(&summary, "stores"),
+        "{summary}"
+    );
+    let executed = summary
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("flight.executed: "))
+        .and_then(|count| count.trim().parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no flight.executed counter in: {summary}"));
+    assert_eq!(replayed, executed, "{summary}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cache_flags_validate_their_arguments() {
     // A missing value is a usage error, not a panic.
