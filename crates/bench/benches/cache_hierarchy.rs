@@ -1,14 +1,15 @@
 //! Micro-benchmarks of the memory-hierarchy substrate: raw set-associative
 //! cache accesses, stride-table training, and end-to-end engine throughput
 //! (simulated accesses per wall-clock second), which bounds how long each
-//! paper experiment takes.
+//! paper experiment takes, whole and split into its hierarchy recording
+//! and timing replay.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use stms_bench::{bench_trace, chase_trace};
 use stms_core::{Stms, StmsConfig};
 use stms_mem::{
-    CacheConfig, CmpSimulator, NullPrefetcher, SetAssocCache, SimOptions, StridePrefetcher,
-    SystemConfig,
+    CacheConfig, CmpSimulator, NullPrefetcher, Recording, SetAssocCache, SimOptions,
+    StridePrefetcher, SystemConfig,
 };
 use stms_sim::ExperimentConfig;
 use stms_types::{AccessKind, CoreId, LineAddr, Trace};
@@ -125,6 +126,22 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let result =
                 CmpSimulator::new(&cfg.system, cfg.sim).run(&paper, &mut NullPrefetcher::new());
+            black_box(result.cycles)
+        });
+    });
+    // The two halves of that replay: the per-trace hierarchy recording,
+    // and one job's timing replay against it.
+    group.bench_function("record_paper_100k", |b| {
+        b.iter(|| black_box(Recording::record(&cfg.system, &paper).len_bytes()));
+    });
+    let recording = Recording::record(&cfg.system, &paper);
+    group.bench_function("replay_recorded_paper_100k", |b| {
+        b.iter(|| {
+            let result = CmpSimulator::new(&cfg.system, cfg.sim).run_recorded(
+                &paper,
+                &recording,
+                &mut NullPrefetcher::new(),
+            );
             black_box(result.cycles)
         });
     });

@@ -50,6 +50,15 @@ impl Way {
     };
 }
 
+/// Where [`SetAssocCache::insert`] put a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Insertion {
+    /// The way, within the line's set, that holds the line.
+    pub(crate) way: usize,
+    /// The valid line the insertion displaced, if any.
+    pub(crate) evicted: Option<Eviction>,
+}
+
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -188,6 +197,12 @@ impl SetAssocCache {
     /// eviction, if any. If the line is already present the call only updates
     /// its dirty bit and recency.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction> {
+        self.insert(line, dirty).evicted
+    }
+
+    /// [`SetAssocCache::fill`], also naming the way (index within the
+    /// line's set) that holds the line afterwards.
+    pub(crate) fn insert(&mut self, line: LineAddr, dirty: bool) -> Insertion {
         let set_idx = self.set_index(line);
         let tag = self.tag(line);
         self.lru_clock += 1;
@@ -196,41 +211,41 @@ impl SetAssocCache {
         self.stats.fills += 1;
         let assoc = self.cfg.associativity;
         let set = &mut self.ways[set_idx * assoc..(set_idx + 1) * assoc];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.dirty |= dirty;
-            way.lru = clock;
-            return None;
+        if let Some(way) = set.iter().position(|w| w.valid && w.tag == tag) {
+            set[way].dirty |= dirty;
+            set[way].lru = clock;
+            return Insertion { way, evicted: None };
         }
-        // Prefer an invalid way.
-        if let Some(way) = set.iter_mut().find(|w| !w.valid) {
-            *way = Way {
-                tag,
-                valid: true,
-                dirty,
-                lru: clock,
-            };
-            return None;
-        }
-        // Evict the LRU way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| w.lru)
-            .expect("associativity is non-zero");
-        let evicted_line = LineAddr::new((victim.tag << set_bits) | set_idx as u64);
-        let eviction = Eviction {
-            line: evicted_line,
-            dirty: victim.dirty,
-        };
-        if eviction.dirty {
-            self.stats.dirty_evictions += 1;
-        }
-        *victim = Way {
+        let fresh = Way {
             tag,
             valid: true,
             dirty,
             lru: clock,
         };
-        Some(eviction)
+        // Prefer an invalid way.
+        if let Some(way) = set.iter().position(|w| !w.valid) {
+            set[way] = fresh;
+            return Insertion { way, evicted: None };
+        }
+        // Evict the LRU way.
+        let (way, _) = set
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, w)| w.lru)
+            .expect("associativity is non-zero");
+        let victim = set[way];
+        let eviction = Eviction {
+            line: LineAddr::new((victim.tag << set_bits) | set_idx as u64),
+            dirty: victim.dirty,
+        };
+        if eviction.dirty {
+            self.stats.dirty_evictions += 1;
+        }
+        set[way] = fresh;
+        Insertion {
+            way,
+            evicted: Some(eviction),
+        }
     }
 
     /// Removes a line if present, returning whether it was dirty.

@@ -4,7 +4,9 @@
 //! the baseline stride prefetcher and the DRAM channel, while driving a
 //! temporal-streaming [`Prefetcher`] through its trigger/record hooks and
 //! managing the on-chip stream machinery (address queues and prefetch
-//! buffers).
+//! buffers). The caches and the stride prefetcher are the functional half
+//! ([`crate::hierarchy`]); this module is the timing half, which replays
+//! their recorded outcomes.
 //!
 //! # Timing model
 //!
@@ -25,18 +27,17 @@
 //! dependence flags and compute gaps under this model, and is reported in the
 //! [`SimResult`].
 
-use crate::cache::SetAssocCache;
 use crate::config::SystemConfig;
 use crate::dram::{DramModel, TrafficClass, TrafficStats};
+use crate::hierarchy::{Hierarchy, Level, OnChip, Outcomes, Recording};
 use crate::mshr::MshrFile;
 use crate::prefetcher::Prefetcher;
 use crate::result::SimResult;
 use crate::stream::{PrefetchBuffer, StreamState};
-use crate::stride::StridePrefetcher;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use stms_types::stream::{TraceSource, TraceStreamError, DEFAULT_CHUNK_LEN};
-use stms_types::{AccessKind, Cycle, LineAddr, MemAccess, Trace};
+use stms_types::{AccessKind, Cycle, MemAccess, Trace};
 
 /// Tunables of the simulation engine that are not part of the system model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -198,6 +199,17 @@ impl CoreState {
 /// The simulation engine. Create one per run with [`CmpSimulator::new`] and
 /// call [`CmpSimulator::run`].
 ///
+/// A replay has two halves. The functional half (the crate-private
+/// `Hierarchy` of [`crate::hierarchy`]) applies each access to the L1s,
+/// the L2 and the stride prefetcher and emits its outcome; it does not
+/// depend on the temporal prefetcher, so a [`Recording`] of one trace's
+/// outcomes serves every job on that trace
+/// ([`CmpSimulator::run_recorded`]). The engine itself is the timing
+/// half: clocks, MSHRs, epochs, the prefetch buffer, the stream queue,
+/// DRAM timing and the prefetcher hooks, driven by those outcomes.
+/// [`CmpSimulator::run`] and [`CmpSimulator::run_stream`] run both halves
+/// chunk by chunk.
+///
 /// # Example
 ///
 /// ```
@@ -217,9 +229,8 @@ impl CoreState {
 pub struct CmpSimulator<'a> {
     cfg: &'a SystemConfig,
     opts: SimOptions,
-    l1: Vec<SetAssocCache>,
-    l2: SetAssocCache,
-    stride: StridePrefetcher,
+    /// Which line each physical cache way holds, from the outcomes.
+    on_chip: OnChip,
     dram: DramModel,
     cores: Vec<CoreState>,
     res: SimResult,
@@ -233,9 +244,7 @@ impl<'a> CmpSimulator<'a> {
         CmpSimulator {
             cfg,
             opts,
-            l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
-            l2: SetAssocCache::new(cfg.l2),
-            stride: StridePrefetcher::new(cfg.stride),
+            on_chip: OnChip::new(cfg),
             dram: DramModel::new(cfg.dram),
             cores,
             res: SimResult::default(),
@@ -260,11 +269,11 @@ impl<'a> CmpSimulator<'a> {
     /// Replays any [`TraceSource`] with `prefetcher`, chunk by chunk.
     ///
     /// The engine's resident state is independent of trace length: it holds
-    /// one chunk at a time, so a trace far larger than memory (a generator
-    /// streaming on the fly) replays in bounded space. Source dispatch
-    /// happens once per chunk; the per-access hot path is unchanged from
-    /// [`CmpSimulator::run`], and the metrics are bit-identical for the same
-    /// access sequence, whatever its chunking or warm-up boundary alignment.
+    /// one chunk and that chunk's recorded outcomes at a time, so a trace
+    /// far larger than memory (a generator streaming on the fly) replays in
+    /// bounded space. The metrics are bit-identical for the same access
+    /// sequence, whatever its chunking or warm-up boundary alignment, and
+    /// equal to [`CmpSimulator::run_recorded`] on the materialized trace.
     ///
     /// The warm-up boundary is computed from
     /// [`TraceSource::total_accesses`], which every source knows up front.
@@ -282,23 +291,83 @@ impl<'a> CmpSimulator<'a> {
         P: Prefetcher + ?Sized,
         S: TraceSource + ?Sized,
     {
-        self.res.prefetcher = prefetcher.name().to_string();
-        self.res.workload = source.meta().workload.clone();
-        let total = source.total_accesses() as usize;
-        let warmup_end = ((total as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
-
+        self.begin(prefetcher, &source.meta().workload);
+        let warmup_end = self.warmup_end(source.total_accesses() as usize);
+        let mut hierarchy = Hierarchy::new(self.cfg);
+        let mut outcomes = Vec::new();
         let mut idx = 0usize;
         while let Some(chunk) = source.next_chunk()? {
             debug_assert_eq!(chunk.first_index as usize, idx, "chunks arrive in order");
-            for access in chunk.accesses {
-                if idx == warmup_end {
-                    self.end_warmup();
-                }
-                self.step(*access, prefetcher, idx >= warmup_end);
-                idx += 1;
-            }
+            outcomes.clear();
+            hierarchy.record(chunk.accesses, &mut outcomes);
+            let mut reader = Outcomes::new(&outcomes);
+            self.replay(
+                chunk.accesses,
+                &mut reader,
+                &mut idx,
+                warmup_end,
+                prefetcher,
+            );
+            debug_assert!(reader.is_empty(), "one outcome per access");
         }
         Ok(self.finish(idx, prefetcher, warmup_end))
+    }
+
+    /// Replays `trace` with `prefetcher` against its shared `recording`:
+    /// only the timing half runs. Bit-identical to [`CmpSimulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recording` was made under a different [`SystemConfig`]
+    /// or for a trace of a different length.
+    pub fn run_recorded<P: Prefetcher + ?Sized>(
+        mut self,
+        trace: &Trace,
+        recording: &Recording,
+        prefetcher: &mut P,
+    ) -> SimResult {
+        let mut reader = recording.outcomes(self.cfg, trace.len());
+        self.begin(prefetcher, &trace.meta().workload);
+        let warmup_end = self.warmup_end(trace.len());
+        let mut idx = 0usize;
+        self.replay(
+            trace.accesses(),
+            &mut reader,
+            &mut idx,
+            warmup_end,
+            prefetcher,
+        );
+        assert!(reader.is_empty(), "recording outlasts the trace");
+        self.finish(idx, prefetcher, warmup_end)
+    }
+
+    fn begin<P: Prefetcher + ?Sized>(&mut self, prefetcher: &P, workload: &str) {
+        self.res.prefetcher = prefetcher.name().to_string();
+        self.res.workload = workload.to_string();
+    }
+
+    /// Index of the first measured access of a `total`-access trace.
+    fn warmup_end(&self, total: usize) -> usize {
+        ((total as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize
+    }
+
+    /// Runs the timing half over `accesses`, whose outcomes `outcomes`
+    /// holds; `idx` is the trace index of the first access.
+    fn replay<P: Prefetcher + ?Sized>(
+        &mut self,
+        accesses: &[MemAccess],
+        outcomes: &mut Outcomes<'_>,
+        idx: &mut usize,
+        warmup_end: usize,
+        prefetcher: &mut P,
+    ) {
+        for access in accesses {
+            if *idx == warmup_end {
+                self.end_warmup();
+            }
+            self.step(*access, outcomes, prefetcher, *idx >= warmup_end);
+            *idx += 1;
+        }
     }
 
     /// Marks the end of the warm-up period: statistics collected so far are
@@ -319,13 +388,16 @@ impl<'a> CmpSimulator<'a> {
         };
     }
 
-    fn step<P: Prefetcher + ?Sized>(&mut self, a: MemAccess, prefetcher: &mut P, measure: bool) {
+    /// The timing of one access whose hierarchy outcome is next in
+    /// `outcomes`.
+    fn step<P: Prefetcher + ?Sized>(
+        &mut self,
+        a: MemAccess,
+        outcomes: &mut Outcomes<'_>,
+        prefetcher: &mut P,
+        measure: bool,
+    ) {
         let core_idx = a.core.index();
-        assert!(
-            core_idx < self.cores.len(),
-            "trace references core {core_idx} beyond configured {}",
-            self.cores.len()
-        );
 
         // Advance the core clock over the compute gap (one instruction per cycle).
         {
@@ -341,8 +413,8 @@ impl<'a> CmpSimulator<'a> {
         }
         let is_write = a.kind == AccessKind::Write;
 
-        // L1 lookup.
-        if self.l1[core_idx].access(a.line, is_write).is_hit() {
+        let outcome = outcomes.head();
+        if outcome.level == Level::L1Hit {
             if measure {
                 self.res.l1_hits += 1;
             }
@@ -350,21 +422,26 @@ impl<'a> CmpSimulator<'a> {
             return;
         }
 
-        // The baseline stride prefetcher observes every L1 miss; its fills go
-        // straight into the shared L2.
-        {
-            let now = self.cores[core_idx].clock;
-            for predicted in self.stride.train(a.core, a.line) {
-                if !self.l2.probe(predicted) {
-                    self.dram.access(
-                        TrafficClass::StridePrefetch,
-                        self.cfg.l2.line_bytes as u64,
-                        now,
-                    );
-                    self.l2_fill(predicted, false);
-                }
+        // The baseline stride prefetcher observed the L1 miss; its fills
+        // went straight into the shared L2.
+        let now = self.cores[core_idx].clock;
+        for _ in 0..outcome.stride_fills {
+            let writeback = self.on_chip.stride_fill(outcomes, a.line);
+            self.dram.access(
+                TrafficClass::StridePrefetch,
+                self.cfg.l2.line_bytes as u64,
+                now,
+            );
+            if writeback {
+                self.writeback();
             }
         }
+        // The demand line is installed on chip whichever path serves it;
+        // only the write-back of a dirty L2 victim is charged below, on the
+        // path's own schedule.
+        let demand_writeback = self
+            .on_chip
+            .demand_fill(outcomes, outcome, core_idx, a.line);
 
         // Prefetch buffer lookup (reads only; stores retire via the store buffer).
         if !is_write {
@@ -413,8 +490,9 @@ impl<'a> CmpSimulator<'a> {
                     }
                     self.res.prefetches_used += 1;
                 }
-                // Install the used block on chip.
-                self.fill_on_chip(core_idx, a.line, false);
+                if demand_writeback {
+                    self.writeback();
+                }
                 let now = self.cores[core_idx].clock;
                 prefetcher.record(a.core, a.line, true, now, &mut self.dram);
                 self.pump_stream(core_idx, a.core, prefetcher);
@@ -422,8 +500,7 @@ impl<'a> CmpSimulator<'a> {
             }
         }
 
-        // L2 lookup.
-        if self.l2.access(a.line, false).is_hit() {
+        if outcome.level == Level::L2Hit {
             let st = &mut self.cores[core_idx];
             // Dependent loads expose the full L2 latency; independent ones are
             // largely hidden by out-of-order execution.
@@ -435,7 +512,6 @@ impl<'a> CmpSimulator<'a> {
             if measure {
                 self.res.l2_hits += 1;
             }
-            self.l1_fill(core_idx, a.line, is_write);
             return;
         }
 
@@ -450,7 +526,9 @@ impl<'a> CmpSimulator<'a> {
             }
             self.dram
                 .access(TrafficClass::DemandFill, self.cfg.l2.line_bytes as u64, now);
-            self.fill_on_chip(core_idx, a.line, true);
+            if demand_writeback {
+                self.writeback();
+            }
             return;
         }
 
@@ -490,7 +568,9 @@ impl<'a> CmpSimulator<'a> {
             }
         }
         prefetcher.record(a.core, a.line, false, now, &mut self.dram);
-        self.fill_on_chip(core_idx, a.line, false);
+        if demand_writeback {
+            self.writeback();
+        }
         self.pump_stream(core_idx, a.core, prefetcher);
     }
 
@@ -562,10 +642,7 @@ impl<'a> CmpSimulator<'a> {
                 return;
             };
             // Skip lines that are already on chip or already prefetched.
-            if self.l1[core_idx].probe(line)
-                || self.l2.probe(line)
-                || self.cores[core_idx].pfb.contains(line)
-            {
+            if self.on_chip.contains(core_idx, line) || self.cores[core_idx].pfb.contains(line) {
                 continue;
             }
             let st = &mut self.cores[core_idx];
@@ -584,28 +661,12 @@ impl<'a> CmpSimulator<'a> {
         }
     }
 
-    fn l1_fill(&mut self, core_idx: usize, line: LineAddr, dirty: bool) {
-        if let Some(evicted) = self.l1[core_idx].fill(line, dirty) {
-            if evicted.dirty {
-                // Dirty L1 victim is absorbed by the (inclusive) L2.
-                self.l2.fill(evicted.line, true);
-            }
-        }
-    }
-
-    fn l2_fill(&mut self, line: LineAddr, dirty: bool) {
-        if let Some(evicted) = self.l2.fill(line, dirty) {
-            if evicted.dirty {
-                let now = self.max_clock();
-                self.dram
-                    .access(TrafficClass::Writeback, self.cfg.l2.line_bytes as u64, now);
-            }
-        }
-    }
-
-    fn fill_on_chip(&mut self, core_idx: usize, line: LineAddr, dirty: bool) {
-        self.l2_fill(line, false);
-        self.l1_fill(core_idx, line, dirty);
+    /// Charges the write-back of a dirty L2 victim, issued at the latest
+    /// core clock.
+    fn writeback(&mut self) {
+        let now = self.max_clock();
+        self.dram
+            .access(TrafficClass::Writeback, self.cfg.l2.line_bytes as u64, now);
     }
 
     fn max_clock(&self) -> Cycle {
@@ -676,7 +737,7 @@ impl<'a> CmpSimulator<'a> {
 mod tests {
     use super::*;
     use crate::prefetcher::{NullPrefetcher, StreamChunk};
-    use stms_types::{CoreId, TraceMeta};
+    use stms_types::{CoreId, LineAddr, TraceMeta};
 
     fn trace_of(lines: &[u64], core: u16) -> Trace {
         let mut t = Trace::new(TraceMeta {

@@ -16,6 +16,8 @@
 //!   baselines);
 //! * [`CmpSimulator`] — the trace replay engine with an epoch-based
 //!   memory-level-parallelism timing model;
+//! * [`Recording`] — one trace's cache-hierarchy outcomes, recorded once
+//!   and shared by every timing replay of that trace;
 //! * [`SimResult`] — coverage, traffic and timing metrics of one run.
 //!
 //! # Example
@@ -43,6 +45,7 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod engine;
+pub mod hierarchy;
 pub mod mshr;
 pub mod prefetcher;
 pub mod result;
@@ -53,6 +56,7 @@ pub use cache::{CacheOutcome, CacheStats, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CoreConfig, DramConfig, StrideConfig, SystemConfig};
 pub use dram::{DramModel, TrafficClass, TrafficStats};
 pub use engine::{CmpSimulator, InvalidSimOptions, SimOptions};
+pub use hierarchy::Recording;
 pub use mshr::{MshrEntry, MshrFile};
 pub use prefetcher::{NullPrefetcher, Prefetcher, StreamChunk};
 pub use result::{DecodeResultError, OverheadBreakdown, SimResult, SIM_RESULT_CODEC_VERSION};

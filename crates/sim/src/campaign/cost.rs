@@ -47,7 +47,7 @@ fn log2(n: usize) -> u64 {
 }
 
 /// Which calibration class a job belongs to.
-fn class_of(job: &JobSpec) -> usize {
+pub(crate) fn class_of(job: &JobSpec) -> usize {
     match &job.task {
         JobTask::CollectMisses => 0,
         JobTask::Replay(PrefetcherKind::Baseline) => 1,
@@ -56,6 +56,42 @@ fn class_of(job: &JobSpec) -> usize {
         JobTask::Replay(PrefetcherKind::FixedDepth(_)) => 4,
         JobTask::Replay(PrefetcherKind::Markov(_)) => 5,
     }
+}
+
+/// The prefetcher family of each cost class, as the `scheduling:` line
+/// names it.
+const CLASS_NAMES: [&str; CLASSES] = [
+    "miss_collect",
+    "baseline",
+    "ideal_tms",
+    "stms",
+    "fixed_depth",
+    "markov",
+];
+
+/// Mean absolute error of `predicted` against `observed` run times, per
+/// cost class, for the classes with any matched job: `(family, per-mille
+/// of observed time)` in class order. Each sample is `(cost class,
+/// predicted ns, observed ns)`.
+pub(crate) fn family_errors(
+    samples: impl IntoIterator<Item = (usize, u64, u64)>,
+) -> Vec<(String, u64)> {
+    let mut abs_err = [0u128; CLASSES];
+    let mut observed = [0u128; CLASSES];
+    for (class, predicted_ns, observed_ns) in samples {
+        abs_err[class] += u128::from(predicted_ns.abs_diff(observed_ns));
+        observed[class] += u128::from(observed_ns);
+    }
+    (0..CLASSES)
+        .filter(|&class| observed[class] > 0)
+        .map(|class| {
+            let milli = abs_err[class] * 1000 / observed[class];
+            (
+                CLASS_NAMES[class].to_string(),
+                u64::try_from(milli).unwrap_or(u64::MAX),
+            )
+        })
+        .collect()
 }
 
 /// The analytic per-access weight of a job, in abstract model units. Table

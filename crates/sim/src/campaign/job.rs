@@ -73,15 +73,24 @@ impl JobSpec {
     }
 }
 
+/// Version of the simulation model: of every number a job can output for
+/// given inputs. It leads every [`job_fingerprint`], so result-cache
+/// entries and shard manifests written by another model version are never
+/// served. Bump it in any change that moves a simulated bit; the golden
+/// digest test pins the digest table to this value.
+pub const MODEL_VERSION: u32 = 1;
+
 /// The stable identity of one job under one campaign configuration: the
-/// fingerprint of `(spec at the campaign trace length, system model, engine
-/// options, task)`. Two jobs produce bit-identical outputs exactly when
-/// their fingerprints agree, which is what lets the same value key the
-/// persistent [`super::ResultStore`], partition the grid across shards
-/// ([`super::shard`]), and address outputs inside sealed shard manifests.
+/// fingerprint of `(model version, spec at the campaign trace length,
+/// system model, engine options, task)`. Two jobs produce bit-identical
+/// outputs exactly when their fingerprints agree, which is what lets the
+/// same value key the persistent [`super::ResultStore`], partition the
+/// grid across shards ([`super::shard`]), and address outputs inside
+/// sealed shard manifests.
 pub fn job_fingerprint(cfg: &ExperimentConfig, job: &JobSpec) -> Fingerprint {
     let mut fp = Fingerprinter::new();
-    fp.write_str("stms-job-output/v1");
+    fp.write_str("stms-model");
+    fp.write_u32(MODEL_VERSION);
     job.workload
         .clone()
         .with_accesses(cfg.accesses)

@@ -55,7 +55,9 @@ pub mod shard;
 mod trace_store;
 
 pub use cost::{Calibration, JobCostModel, Partition};
-pub use job::{job_fingerprint, DecodeJobOutputError, JobError, JobOutput, JobSpec, JobTask};
+pub use job::{
+    job_fingerprint, DecodeJobOutputError, JobError, JobOutput, JobSpec, JobTask, MODEL_VERSION,
+};
 pub use pool::{BatchHandle, JobPanic, JobPool};
 pub use result_store::{
     ResultStore, ResultStoreStats, DEFAULT_MEMO_BUDGET_BYTES, JOB_OUTPUT_CODEC_VERSION,
@@ -64,7 +66,6 @@ pub use shard::{MergeError, MergedShards, ShardSpec};
 pub use trace_store::{TraceStore, TraceStoreStats};
 
 use crate::experiments::FigureResult;
-use crate::runner::run_trace;
 use crate::system::ExperimentConfig;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -428,7 +429,8 @@ struct SchedLog {
     jobs: u64,
     predicted_total_ns: u128,
     order: &'static str,
-    predicted_by_fp: HashMap<Fingerprint, u64>,
+    /// Predicted cost and cost class of each submitted job.
+    predicted_by_fp: HashMap<Fingerprint, (u64, usize)>,
 }
 
 impl Campaign {
@@ -674,16 +676,21 @@ impl Campaign {
             .unwrap_or_else(PoisonError::into_inner)
             .take()?;
         let timings = self.take_timings();
-        let mut abs_err: u128 = 0;
-        let mut observed: u128 = 0;
-        let mut matched = 0u64;
-        for timing in &timings {
-            if let Some(&predicted) = log.predicted_by_fp.get(&timing.fingerprint) {
-                abs_err += u128::from(predicted).abs_diff(u128::from(timing.run_ns));
-                observed += u128::from(timing.run_ns);
-                matched += 1;
-            }
-        }
+        let samples: Vec<(usize, u64, u64)> = timings
+            .iter()
+            .filter_map(|timing| {
+                let &(predicted, class) = log.predicted_by_fp.get(&timing.fingerprint)?;
+                Some((class, predicted, timing.run_ns))
+            })
+            .collect();
+        let abs_err: u128 = samples
+            .iter()
+            .map(|&(_, predicted, run_ns)| u128::from(predicted.abs_diff(run_ns)))
+            .sum();
+        let observed: u128 = samples
+            .iter()
+            .map(|&(_, _, run_ns)| u128::from(run_ns))
+            .sum();
         let actual_error_milli =
             (observed > 0).then(|| u64::try_from(abs_err * 1000 / observed).unwrap_or(u64::MAX));
         Some(stms_stats::SchedReport {
@@ -692,8 +699,9 @@ impl Campaign {
             order: Some(log.order.to_string()),
             calibration_samples: None,
             calibration_error_milli: None,
-            actual_jobs: matched,
+            actual_jobs: samples.len() as u64,
             actual_error_milli,
+            family_error_milli: cost::family_errors(samples),
             balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
@@ -863,7 +871,9 @@ impl Campaign {
                 jobs: groups.len() as u64,
                 predicted_total_ns: leaders().map(|i| u128::from(costs[i])).sum(),
                 order: if plan_order { "plan" } else { "lpt" },
-                predicted_by_fp: leaders().map(|i| (idents[i].1, costs[i])).collect(),
+                predicted_by_fp: leaders()
+                    .map(|i| (idents[i].1, (costs[i], cost::class_of(&jobs[i]))))
+                    .collect(),
             });
         }
         let submitted = group_leaders(jobs, &groups);
@@ -1295,6 +1305,7 @@ impl ShardRun {
             calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
+            family_error_milli: Vec::new(),
             balance: Some(self.makespan.balance.label().to_string()),
             this_shard_ns: Some(self.makespan.this_shard_ns),
             max_shard_ns: Some(self.makespan.max_shard_ns),
@@ -1609,12 +1620,18 @@ fn run_job_uncached(cfg: &ExperimentConfig, store: &TraceStore, job: &JobSpec) -
             }
         }
     } else {
-        let trace = store.get_or_generate(&job.workload, cfg.accesses);
+        // Shared path: the trace's hierarchy outcomes are recorded once,
+        // and each job replays only the timing half against them.
+        let (trace, recording) = store.get_or_record(&job.workload, cfg.accesses, &cfg.system);
+        let engine = CmpSimulator::new(&cfg.system, cfg.sim);
         match job.task {
-            JobTask::Replay(ref kind) => JobOutput::Sim(run_trace(cfg, &trace, kind)),
+            JobTask::Replay(ref kind) => {
+                let mut prefetcher = kind.build(cfg.system.cores);
+                JobOutput::Sim(engine.run_recorded(&trace, &recording, prefetcher.as_mut()))
+            }
             JobTask::CollectMisses => {
                 let mut collector = MissTraceCollector::new(cfg.system.cores);
-                let _ = CmpSimulator::new(&cfg.system, cfg.sim).run(&trace, &mut collector);
+                let _ = engine.run_recorded(&trace, &recording, &mut collector);
                 JobOutput::MissSequences(collector.all_cores())
             }
         }

@@ -11,6 +11,12 @@
 //! request it, and matched comparisons across figures replay bit-identical
 //! inputs.
 //!
+//! Each stored trace also carries, built lazily on the first replay that
+//! asks for it ([`TraceStore::get_or_record`]), the [`Recording`] of its
+//! cache-hierarchy outcomes: the functional half of a replay, which every
+//! job on the trace shares so that each job runs only the timing half. A
+//! campaign that is served entirely from the result cache never builds one.
+//!
 //! In streaming mode ([`TraceStore::with_streaming`]) nothing is
 //! materialized: every replay streams its own resumable
 //! [`TraceGenerator`] chunk by chunk ([`TraceStore::replay_streaming`]), so
@@ -41,8 +47,9 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use stms_mem::{Recording, SystemConfig};
 use stms_types::stream::{AccessChunk, TraceSource, TraceStreamError};
-use stms_types::{SharedTrace, TraceMeta};
+use stms_types::{Fingerprintable, SharedTrace, TraceMeta};
 use stms_workloads::{generate, TraceGenerator, WorkloadSpec};
 
 /// Counters describing how a [`TraceStore`] was used.
@@ -63,6 +70,9 @@ pub struct TraceStoreStats {
     pub stream_replays: u64,
     /// Chunks handed to streamed replays.
     pub stream_chunks: u64,
+    /// Hierarchy recordings built ([`TraceStore::get_or_record`]): at most
+    /// one per stored trace.
+    pub recorded: u64,
 }
 
 /// A shared, thread-safe store of generated traces keyed by workload spec
@@ -82,7 +92,7 @@ pub struct TraceStoreStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceStore {
-    entries: Mutex<HashMap<WorkloadSpec, Arc<OnceLock<SharedTrace>>>>,
+    entries: Mutex<HashMap<WorkloadSpec, Arc<OnceLock<Arc<StoredTrace>>>>>,
     /// Streaming mode: replays flow chunk by chunk through
     /// [`TraceStore::replay_streaming`] instead of materializing traces.
     streaming: bool,
@@ -91,6 +101,14 @@ pub struct TraceStore {
     generated: AtomicU64,
     stream_replays: AtomicU64,
     stream_chunks: AtomicU64,
+    recorded: AtomicU64,
+}
+
+/// One generated trace and, once a replay asked for it, its recording.
+#[derive(Debug)]
+struct StoredTrace {
+    trace: SharedTrace,
+    recording: OnceLock<Arc<Recording>>,
 }
 
 /// Saturating add on a stats counter. Every store counter goes through
@@ -185,6 +203,42 @@ impl TraceStore {
     /// entry's cell and then share the result. Requests for different keys
     /// never contend beyond the brief map lookup.
     pub fn get_or_generate(&self, spec: &WorkloadSpec, accesses: usize) -> SharedTrace {
+        Arc::clone(&self.entry(spec, accesses).trace)
+    }
+
+    /// [`TraceStore::get_or_generate`], plus the trace's hierarchy
+    /// [`Recording`] under `system`, built on first request. Concurrent
+    /// first requests build it once; the others wait on the entry's cell.
+    ///
+    /// # Panics
+    ///
+    /// A store serves one system model (its campaign's): panics if the
+    /// trace was already recorded under another.
+    pub fn get_or_record(
+        &self,
+        spec: &WorkloadSpec,
+        accesses: usize,
+        system: &SystemConfig,
+    ) -> (SharedTrace, Arc<Recording>) {
+        let stored = self.entry(spec, accesses);
+        let recording = stored.recording.get_or_init(|| {
+            counter_add(&self.recorded, 1);
+            let started = obs_started();
+            let recording = Arc::new(Recording::record(system, &stored.trace));
+            record_elapsed("cache.trace.record_ns", started);
+            recording
+        });
+        assert_eq!(
+            recording.system(),
+            system.fingerprint(),
+            "a trace store serves one system model"
+        );
+        (Arc::clone(&stored.trace), Arc::clone(recording))
+    }
+
+    /// The entry for `spec` at `accesses`, generating the trace on first
+    /// request.
+    fn entry(&self, spec: &WorkloadSpec, accesses: usize) -> Arc<StoredTrace> {
         let key = spec.clone().with_accesses(accesses);
         let started = obs_started();
         let (cell, hit) = {
@@ -203,12 +257,15 @@ impl TraceStore {
             }
         };
         // Generation happens outside the map lock so other keys proceed.
-        let trace = Arc::clone(cell.get_or_init(|| {
+        let stored = Arc::clone(cell.get_or_init(|| {
             counter_add(&self.generated, 1);
             let started = obs_started();
             let trace = generate(&key).into_shared();
             record_elapsed("cache.trace.generate_ns", started);
-            trace
+            Arc::new(StoredTrace {
+                trace,
+                recording: OnceLock::new(),
+            })
         }));
         record_elapsed(
             if hit {
@@ -218,7 +275,7 @@ impl TraceStore {
             },
             started,
         );
-        trace
+        stored
     }
 
     /// Number of distinct traces currently cached (including any still
@@ -243,6 +300,7 @@ impl TraceStore {
             generated: self.generated.load(Ordering::Relaxed),
             stream_replays: self.stream_replays.load(Ordering::Relaxed),
             stream_chunks: self.stream_chunks.load(Ordering::Relaxed),
+            recorded: self.recorded.load(Ordering::Relaxed),
         }
     }
 
@@ -259,6 +317,7 @@ impl TraceStore {
             &self.generated,
             &self.stream_replays,
             &self.stream_chunks,
+            &self.recorded,
         ] {
             counter.store(0, Ordering::Relaxed);
         }

@@ -51,6 +51,7 @@ pub use campaign::{
     job_fingerprint, Campaign, CampaignCacheStats, CampaignCaches, CampaignError, CancelToken,
     FigurePlan, FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask, MergeError,
     MergedShards, ResultStore, ResultStoreStats, ShardRun, ShardSpec, TraceStore, TraceStoreStats,
+    MODEL_VERSION,
 };
 pub use experiments::FigureResult;
 pub use runner::{

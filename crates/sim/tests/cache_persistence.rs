@@ -58,6 +58,10 @@ fn warm_campaign_is_byte_identical_and_replays_nothing() {
     let (cold_tables, cold, jobs) = run(&dir, &ids);
     let cold_stats = cold.cache_stats();
     assert!(cold_stats.trace.generated > 0, "cold run must generate");
+    assert_eq!(
+        cold_stats.trace.recorded, cold_stats.trace.generated,
+        "every replayed trace's hierarchy is recorded once"
+    );
     let cold_results = cold_stats.result.expect("result cache configured");
     // table2's baseline cells recur inside fig4; the batch submits each
     // distinct cell once and fans its output out to the duplicates. Every
@@ -84,8 +88,9 @@ fn warm_campaign_is_byte_identical_and_replays_nothing() {
     );
     let warm_stats = warm.cache_stats();
     assert_eq!(
-        warm_stats.trace.generated, 0,
-        "warm run must skip all trace generation"
+        warm_stats.trace.generated + warm_stats.trace.recorded,
+        0,
+        "warm run must skip all trace generation and recording"
     );
     assert_eq!(
         warm_stats.trace.hits + warm_stats.trace.misses,

@@ -153,6 +153,9 @@ pub struct SchedReport {
     /// Mean absolute prediction error against those measurements, in
     /// per-mille of observed time.
     pub actual_error_milli: Option<u64>,
+    /// The same error per prefetcher family (`"stms"`, `"markov"`, …), in
+    /// a fixed family order; empty when nothing was matched.
+    pub family_error_milli: Vec<(String, u64)>,
     /// Shard balance mode (`"cost"` or `"count"`); `None` in-process.
     pub balance: Option<String>,
     /// Predicted cost of this shard's slice.
@@ -171,7 +174,7 @@ fn milli_percent(milli: u64) -> String {
 
 impl SchedReport {
     /// One summary line, e.g.
-    /// `scheduling: 24 jobs, predicted 1234 ns, lpt order, calibrated on 24 timings (4.2% error), actual error 12.3% (24 jobs)`
+    /// `scheduling: 24 jobs, predicted 1234 ns, lpt order, calibrated on 24 timings (4.2% error), actual error 12.3% (24 jobs: stms 8.1%, markov 20.5%)`
     /// or, for a shard run,
     /// `scheduling: 5 jobs, predicted 1234 ns, balance cost: this shard 1234 ns, max shard 2000 ns, spread 1.200x`.
     pub fn render_line(&self) -> String {
@@ -189,10 +192,15 @@ impl SchedReport {
         if let Some(error) = self.actual_error_milli {
             let _ = write!(
                 line,
-                ", actual error {} ({} jobs)",
+                ", actual error {} ({} jobs",
                 milli_percent(error),
                 self.actual_jobs
             );
+            for (i, (family, error)) in self.family_error_milli.iter().enumerate() {
+                let sep = if i == 0 { ": " } else { ", " };
+                let _ = write!(line, "{sep}{family} {}", milli_percent(*error));
+            }
+            line.push(')');
         }
         if let Some(balance) = &self.balance {
             let this = self.this_shard_ns.unwrap_or(0);
@@ -541,6 +549,7 @@ mod tests {
             calibration_error_milli: Some(42),
             actual_jobs: 24,
             actual_error_milli: Some(123),
+            family_error_milli: Vec::new(),
             balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
@@ -560,6 +569,7 @@ mod tests {
             calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
+            family_error_milli: Vec::new(),
             balance: Some("cost".to_string()),
             this_shard_ns: Some(1234),
             max_shard_ns: Some(2000),
@@ -580,6 +590,7 @@ mod tests {
             calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
+            family_error_milli: Vec::new(),
             balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
@@ -588,6 +599,33 @@ mod tests {
         assert_eq!(
             bare.render_line(),
             "scheduling: 2 jobs, predicted 10 ns, plan order"
+        );
+    }
+
+    #[test]
+    fn sched_report_renders_the_error_of_each_family() {
+        let report = SchedReport {
+            jobs: 293,
+            predicted_total_ns: 7_222_030_000,
+            order: Some("lpt".to_string()),
+            calibration_samples: None,
+            calibration_error_milli: None,
+            actual_jobs: 293,
+            actual_error_milli: Some(812),
+            family_error_milli: vec![
+                ("baseline".to_string(), 5),
+                ("stms".to_string(), 600),
+                ("markov".to_string(), 1402),
+            ],
+            balance: None,
+            this_shard_ns: None,
+            max_shard_ns: None,
+            mean_shard_ns: None,
+        };
+        assert_eq!(
+            report.render_line(),
+            "scheduling: 293 jobs, predicted 7222030000 ns, lpt order, \
+             actual error 81.2% (293 jobs: baseline 0.5%, stms 60.0%, markov 140.2%)"
         );
     }
 
@@ -605,6 +643,7 @@ mod tests {
             calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
+            family_error_milli: Vec::new(),
             balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
@@ -633,6 +672,7 @@ mod tests {
             calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
+            family_error_milli: Vec::new(),
             balance: None,
             this_shard_ns: None,
             max_shard_ns: None,

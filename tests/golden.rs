@@ -13,7 +13,9 @@
 use stms::core::StmsConfig;
 use stms::prefetch::{FixedDepthConfig, MarkovConfig};
 use stms::sim::experiments::all_plans;
-use stms::sim::{build_trace, run_trace, Campaign, ExperimentConfig, PrefetcherKind};
+use stms::sim::{
+    build_trace, run_trace, Campaign, ExperimentConfig, PrefetcherKind, MODEL_VERSION,
+};
 use stms::types::{Fingerprint, Fingerprinter};
 use stms::workloads::presets;
 
@@ -72,6 +74,12 @@ const SIM_RESULT_DIGESTS: &[(&str, &str, &str)] = &[
 /// Digest of `--figures all --quick --accesses 20000` stdout.
 const FIGURES_ALL_DIGEST: &str = "fefb96f435bdb028d24f7e6943658701";
 
+/// The `MODEL_VERSION` the digests above belong to, and a digest of the
+/// two tables. Changing a digest without bumping the version fails
+/// `digests_are_pinned_to_the_model_version`; a deliberate model change
+/// bumps `MODEL_VERSION` and updates both entries here.
+const DIGESTS_OF_MODEL: (u32, &str) = (1, "a5e08ca46b00bac5d67856052fdc8e11");
+
 fn cfg() -> ExperimentConfig {
     ExperimentConfig::quick().with_accesses(ACCESSES)
 }
@@ -91,6 +99,24 @@ fn digest(bytes: &[u8]) -> Fingerprint {
     let mut fp = Fingerprinter::new();
     fp.write_bytes(bytes);
     fp.finish()
+}
+
+#[test]
+fn digests_are_pinned_to_the_model_version() {
+    let mut fp = Fingerprinter::new();
+    for (workload, prefetcher, digest) in SIM_RESULT_DIGESTS {
+        for field in [workload, prefetcher, digest] {
+            fp.write_str(field);
+        }
+    }
+    fp.write_str(FIGURES_ALL_DIGEST);
+    let actual = (MODEL_VERSION, fp.finish().to_hex());
+    assert_eq!(
+        (actual.0, actual.1.as_str()),
+        DIGESTS_OF_MODEL,
+        "the golden digests or MODEL_VERSION changed without the other: a change \
+         that moves a simulated bit bumps MODEL_VERSION and updates DIGESTS_OF_MODEL"
+    );
 }
 
 #[test]

@@ -4,9 +4,13 @@
 
 use proptest::prelude::*;
 use stms::core::{Stms, StmsConfig};
-use stms::mem::{CmpSimulator, NullPrefetcher, SimOptions, SimResult, SystemConfig};
-use stms::prefetch::{IdealTms, IdealTmsConfig};
-use stms::workloads::{generate, LengthDist, TraceGenerator, WorkloadClass, WorkloadSpec};
+use stms::mem::{CmpSimulator, NullPrefetcher, Recording, SimOptions, SimResult, SystemConfig};
+use stms::prefetch::{
+    FixedDepthConfig, IdealTms, IdealTmsConfig, MarkovConfig, MissTraceCollector,
+};
+use stms::sim::{ExperimentConfig, PrefetcherKind};
+use stms::types::Trace;
+use stms::workloads::{generate, presets, LengthDist, TraceGenerator, WorkloadClass, WorkloadSpec};
 
 /// Builds an arbitrary (but small) workload specification.
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -76,8 +80,78 @@ fn check_result_invariants(r: &SimResult) {
     assert!(r.traffic.prefetch_data >= r.prefetches_issued * 64);
 }
 
+/// Replays every prefetcher family and the miss collector on `trace`
+/// twice: all of them against one shared [`Recording`], and each through
+/// `run_stream` in `chunk_len`-access chunks. Both must agree exactly.
+fn assert_shared_recording_matches_streamed(
+    sys: &SystemConfig,
+    opts: SimOptions,
+    trace: &Trace,
+    chunk_len: usize,
+) {
+    let kinds = [
+        PrefetcherKind::Baseline,
+        PrefetcherKind::ideal(),
+        PrefetcherKind::Stms(StmsConfig {
+            sampling_probability: 0.5,
+            ..StmsConfig::scaled_default()
+        }),
+        PrefetcherKind::FixedDepth(FixedDepthConfig::default()),
+        PrefetcherKind::Markov(MarkovConfig::default()),
+    ];
+    let recording = Recording::record(sys, trace);
+    for kind in &kinds {
+        let shared = CmpSimulator::new(sys, opts).run_recorded(
+            trace,
+            &recording,
+            kind.build(sys.cores).as_mut(),
+        );
+        let streamed = CmpSimulator::new(sys, opts)
+            .run_stream(&mut trace.chunks(chunk_len), kind.build(sys.cores).as_mut())
+            .expect("in-memory sources cannot fail");
+        assert_eq!(shared, streamed, "{}", kind.label());
+        check_result_invariants(&shared);
+    }
+    let mut shared = MissTraceCollector::new(sys.cores);
+    let _ = CmpSimulator::new(sys, opts).run_recorded(trace, &recording, &mut shared);
+    let mut streamed = MissTraceCollector::new(sys.cores);
+    CmpSimulator::new(sys, opts)
+        .run_stream(&mut trace.chunks(chunk_len), &mut streamed)
+        .expect("in-memory sources cannot fail");
+    assert_eq!(shared.misses(), streamed.misses(), "miss collection");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Jobs replayed against one shared hierarchy recording match
+    /// `run_stream`, which runs both halves chunk by chunk: for arbitrary
+    /// workloads, a paper preset under a held-out seed, warm-up on and
+    /// off, and arbitrary chunk lengths.
+    #[test]
+    fn shared_recording_replay_matches_streamed_replay(
+        spec in arb_spec(),
+        preset in 0usize..9,
+        held_out_seed in any::<u64>(),
+        warmup in any::<bool>(),
+        chunk_len in 1usize..3_000,
+    ) {
+        let opts = SimOptions {
+            warmup_fraction: if warmup { 0.2 } else { 0.0 },
+            ..SimOptions::default()
+        };
+        assert_shared_recording_matches_streamed(&system(), opts, &generate(&spec), chunk_len);
+        let paper = presets::all_presets()[preset]
+            .clone()
+            .with_seed(held_out_seed)
+            .with_accesses(8_000);
+        assert_shared_recording_matches_streamed(
+            &ExperimentConfig::scaled_system(),
+            opts,
+            &generate(&paper),
+            chunk_len,
+        );
+    }
 
     /// The engine's accounting identities hold for arbitrary workloads under
     /// the baseline, the idealized prefetcher and STMS.
