@@ -79,22 +79,9 @@ fn bench_sharding(c: &mut Criterion) {
     group.sample_size(10);
     let cfg = ExperimentConfig::quick();
 
-    // Partitioning the full `--figures all` grid is pure fingerprint
-    // arithmetic; it must stay negligible next to a single replay.
-    group.bench_function("partition_full_grid_2_way", |b| {
-        b.iter(|| {
-            let jobs: Vec<_> = stms_sim::experiments::all_plans(&cfg)
-                .iter()
-                .flat_map(|plan| plan.jobs().to_vec())
-                .collect();
-            let distinct = stms_sim::campaign::shard::distinct_jobs(&cfg, &jobs);
-            let shard = stms_sim::ShardSpec::new(1, 2).unwrap();
-            black_box(distinct.iter().filter(|(fp, _)| shard.owns(*fp)).count())
-        })
-    });
-
-    // The cost-balanced variant adds a sort and a greedy min-scan on top
-    // of the cost predictions; still pure arithmetic, still negligible.
+    // Partitioning the full `--figures all` grid is a cost prediction per
+    // job, a sort and a greedy min-scan: pure arithmetic that must stay
+    // negligible next to a single replay.
     group.bench_function("cost_partition_full_grid_2_way", |b| {
         b.iter(|| {
             let jobs: Vec<_> = stms_sim::experiments::all_plans(&cfg)
@@ -102,14 +89,7 @@ fn bench_sharding(c: &mut Criterion) {
                 .flat_map(|plan| plan.jobs().to_vec())
                 .collect();
             let distinct = stms_sim::campaign::shard::distinct_jobs(&cfg, &jobs);
-            let model = stms_sim::campaign::JobCostModel::analytic();
-            let partition = stms_sim::campaign::cost::partition(
-                &model,
-                &cfg,
-                &distinct,
-                2,
-                stms_types::ShardBalance::Cost,
-            );
+            let partition = stms_sim::campaign::cost::partition(&cfg, &distinct, 2);
             black_box(partition.shard_cost_ns.iter().max().copied())
         })
     });
@@ -130,7 +110,6 @@ fn bench_sharding(c: &mut Criterion) {
         config: stms_types::Fingerprint::from_raw(7),
         index: 1,
         count: 2,
-        balance: stms_types::ShardBalance::Count,
         entries,
         timings,
     };

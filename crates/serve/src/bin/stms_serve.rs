@@ -3,7 +3,7 @@
 //! ```text
 //! stms-serve --socket PATH [--quick] [--accesses N] [--threads N]
 //!            [--result-cache DIR] [--cache-verify] [--stream-traces]
-//!            [--metrics-out FILE] [--calibrate-from DIR]
+//!            [--metrics-out FILE]
 //!            [--max-active N] [--max-queue N] [--read-timeout-ms MS]
 //! ```
 //!
@@ -21,12 +21,9 @@
 //! streaming and telemetry flags) are parsed by the same
 //! [`stms_sim::cli::CampaignFlags`] as on `stms-experiments`, so they mean
 //! exactly the same thing; a daemon and a one-shot run configured alike
-//! produce byte-identical figure bytes. That includes `--calibrate-from
-//! DIR`, which rescales the daemon's job-cost model once at startup from
-//! the per-job timings sealed in prior shard manifests — every request
-//! served afterwards schedules its pool with the calibrated
-//! longest-predicted-first order. Scheduling changes order only, never
-//! figure bytes.
+//! produce byte-identical figure bytes. Every request schedules its pool
+//! longest-predicted-first with the same analytic job-cost model;
+//! scheduling changes order only, never figure bytes.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -35,7 +32,6 @@ use std::time::Duration;
 use stms_serve::{ServeConfig, Server};
 use stms_sim::campaign::CampaignCaches;
 use stms_sim::cli::{flag_count, flag_number, flag_value, CampaignFlags};
-use stms_sim::experiments::{self, ALL_IDS};
 use stms_sim::ExperimentConfig;
 use stms_stats::{RunSummary, TelemetryReport};
 
@@ -63,11 +59,11 @@ fn install_signal_handlers() {
 fn usage() -> &'static str {
     "usage: stms-serve --socket PATH [--quick] [--accesses N] [--threads N]\n\
      \x20                 [--result-cache DIR] [--cache-verify] [--stream-traces]\n\
-     \x20                 [--metrics-out FILE] [--calibrate-from DIR]\n\
+     \x20                 [--metrics-out FILE]\n\
      \x20                 [--max-active N] [--max-queue N] [--read-timeout-ms MS]"
 }
 
-fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<PathBuf>), String> {
+fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>), String> {
     let mut flags = CampaignFlags::default();
     let mut socket: Option<PathBuf> = None;
     let mut config = ServeConfig::new(PathBuf::new(), ExperimentConfig::scaled());
@@ -105,26 +101,7 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<P
         result_memory: config.caches.result_memory,
         ..flags.caches
     };
-    Ok((config, flags.metrics_out, flags.calibrate_from))
-}
-
-/// Fits the campaign's job-cost model from pre-loaded manifest timings,
-/// matching records against the full experiment grid (a daemon may be
-/// asked for any figure). Returns the fit for the startup banner.
-fn calibrate_campaign(
-    campaign: &stms_sim::campaign::Campaign,
-    timings: &[stms_types::ShardJobTiming],
-) -> stms_sim::campaign::Calibration {
-    let mut jobs = Vec::new();
-    for id in ALL_IDS {
-        if let Some(plan) = experiments::plan_for_id(id, campaign.cfg()) {
-            jobs.extend(plan.jobs().iter().cloned());
-        }
-    }
-    let grid = stms_sim::campaign::shard::distinct_jobs(campaign.cfg(), &jobs);
-    let (model, fit) = stms_sim::campaign::JobCostModel::calibrated(campaign.cfg(), &grid, timings);
-    campaign.set_cost_model(model);
-    fit
+    Ok((config, flags.metrics_out))
 }
 
 fn main() -> ExitCode {
@@ -133,24 +110,12 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let (config, metrics_out, calibrate_from) = match parse_args(&args) {
+    let (config, metrics_out) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("error: {message}\n{}", usage());
             return ExitCode::from(2);
         }
-    };
-    // Load the calibration corpus before binding, so a bad directory is a
-    // clean usage error that leaves no stale socket file behind.
-    let timings = match &calibrate_from {
-        Some(dir) => match stms_sim::campaign::cost::load_timings(dir) {
-            Ok(timings) => Some(timings),
-            Err(message) => {
-                eprintln!("error: --calibrate-from: {message}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
     };
     install_signal_handlers();
     let server = match Server::bind(config) {
@@ -160,18 +125,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Fit before the first request so every served run schedules with the
-    // calibrated model.
-    let mut calibration = None;
-    if let (Some(timings), Some(dir)) = (&timings, &calibrate_from) {
-        let fit = calibrate_campaign(server.campaign(), timings);
-        eprintln!(
-            "calibrated cost model on {} timings from {}",
-            fit.samples,
-            dir.display()
-        );
-        calibration = Some(fit);
-    }
     eprintln!("serving on {}", server.socket_path().display());
     let report = server.run_until(|| STOP.load(Ordering::Acquire));
     let mut summary = RunSummary::new();
@@ -179,11 +132,7 @@ fn main() -> ExitCode {
     // The scheduling line describes the daemon's most recent served run —
     // later requests overwrite earlier logs, same as cache counters are
     // cumulative while the sched log is per-run.
-    if let Some(mut sched) = server.campaign().take_sched_report() {
-        if let Some(fit) = &calibration {
-            sched.calibration_samples = Some(fit.samples);
-            sched.calibration_error_milli = Some(fit.error_milli);
-        }
+    if let Some(sched) = server.campaign().take_sched_report() {
         summary.push_sched(sched);
     }
     stms_sim::campaign::push_cache_reports(&mut summary, server.campaign());

@@ -1,6 +1,6 @@
-//! The `stms-serve` binary's flag surface: the trace-cache, codec and
-//! pipeline flags are not campaign flags, so the daemon rejects them as
-//! unknown.
+//! The `stms-serve` binary's flag surface: the trace-cache, codec,
+//! pipeline and cost-calibration flags are not campaign flags, so the
+//! daemon rejects them as unknown.
 
 use std::process::Command;
 
@@ -18,6 +18,7 @@ fn removed_trace_tier_flags_are_unknown() {
         "--trace-codec",
         "--replay-pipeline",
         "--decode-threads",
+        "--calibrate-from",
     ] {
         let out = run_serve(&["--socket", "unused.sock", flag, "2"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
@@ -35,6 +36,7 @@ fn removed_trace_tier_flags_are_unknown() {
         "--trace-codec",
         "--replay-pipeline",
         "--decode-threads",
+        "--calibrate-from",
     ] {
         assert!(!usage.contains(flag), "usage still lists {flag}: {usage}");
     }

@@ -6,8 +6,8 @@
 //! stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]
 //!                  [--figures ID[,ID...]] [--format text|json] [--csv DIR]
 //!                  [--result-cache DIR] [--cache-verify] [--stream-traces]
-//!                  [--metrics-out FILE] [--calibrate-from DIR]
-//!                  [--shard I/N --shard-out DIR [--shard-balance count|cost]
+//!                  [--metrics-out FILE]
+//!                  [--shard I/N --shard-out DIR
 //!                   | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]
 //!                  [EXPERIMENT ...]
 //! ```
@@ -45,11 +45,10 @@
 //! and submits the in-process pool longest-predicted-first, so straggler
 //! jobs start early and the pool tail shrinks; figures still render in
 //! selection order and stdout is byte-identical to plan-order submission.
-//! `--calibrate-from DIR` rescales the model per prefetcher family from
-//! the measured per-job timings sealed in any prior shard manifests in
-//! `DIR`. A `scheduling:` line in the stderr run summary reports the
-//! predicted total, the calibration fit (when one ran) and the
-//! predicted-vs-actual error of the finished run.
+//! The model has no inputs beyond the configuration and the job, so every
+//! process predicts the same costs. A `scheduling:` line in the stderr run
+//! summary reports the predicted total and the predicted-vs-actual error
+//! of the finished run, overall and per prefetcher family.
 //!
 //! # Telemetry
 //!
@@ -70,13 +69,10 @@
 //!
 //! `--shard I/N` runs only the 1-based `I`-th slice of the deterministic
 //! `N`-way job partition (generate/replay only — nothing renders) and seals
-//! the finished outputs into a manifest under `--shard-out DIR`.
-//! `--shard-balance cost` replaces the default `fingerprint % N` split with
-//! deterministic greedy bin-packing of predicted job costs, so every shard
-//! carries near-equal predicted *work* instead of near-equal job count;
-//! every shard of the fleet must pass the same balance mode (and the same
-//! `--calibrate-from`, if any) — the mode is sealed into each manifest and
-//! cross-checked at merge.
+//! the finished outputs into a manifest under `--shard-out DIR`. The
+//! partition is deterministic greedy bin-packing of predicted job costs,
+//! so every shard carries near-equal predicted *work*, and every shard of
+//! the fleet computes it identically without coordinating.
 //! `--merge-shards DIR[,DIR...]` (repeatable) validates the manifests found
 //! in the listed directories and renders the selected figures from them
 //! without running a single simulation; stdout is byte-identical to an
@@ -111,14 +107,11 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use stms_sim::campaign::{
-    cost, push_cache_reports, Calibration, Campaign, CampaignCaches, JobCostModel, ShardSpec,
-};
+use stms_sim::campaign::{push_cache_reports, Campaign, CampaignCaches, ShardSpec};
 use stms_sim::cli::{flag_value, CampaignFlags};
 use stms_sim::experiments::{self, ALL_IDS};
 use stms_sim::{ExperimentConfig, FigurePlan, FigureResult};
-use stms_stats::{RunSummary, SchedReport, TelemetryReport};
-use stms_types::ShardBalance;
+use stms_stats::{RunSummary, TelemetryReport};
 
 struct Options {
     cfg: ExperimentConfig,
@@ -129,8 +122,6 @@ struct Options {
     caches: CampaignCaches,
     shard: Option<ShardSpec>,
     shard_out: Option<PathBuf>,
-    shard_balance: ShardBalance,
-    calibrate_from: Option<PathBuf>,
     merge_dirs: Vec<PathBuf>,
     retry_manifest: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
@@ -147,8 +138,8 @@ fn usage() -> String {
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
          \x20                       [--figures ID[,ID...]] [--format text|json] [--csv DIR]\n\
          \x20                       [--result-cache DIR] [--cache-verify] [--stream-traces]\n\
-         \x20                       [--metrics-out FILE] [--calibrate-from DIR]\n\
-         \x20                       [--shard I/N --shard-out DIR [--shard-balance count|cost]\n\
+         \x20                       [--metrics-out FILE]\n\
+         \x20                       [--shard I/N --shard-out DIR\n\
          \x20                        | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]\n\
          \x20                       [EXPERIMENT ...]\n\
          experiments: {} (or `all`)",
@@ -164,7 +155,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut warmup: Option<f64> = None;
     let mut shard: Option<ShardSpec> = None;
     let mut shard_out: Option<PathBuf> = None;
-    let mut shard_balance: Option<ShardBalance> = None;
     let mut merge_dirs: Vec<PathBuf> = Vec::new();
     let mut retry_manifest: Option<PathBuf> = None;
 
@@ -208,13 +198,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 shard = Some(ShardSpec::parse(&v)?);
             }
             "--shard-out" => shard_out = Some(flag_value(args, &mut i, "--shard-out")?.into()),
-            "--shard-balance" => {
-                let v = flag_value(args, &mut i, "--shard-balance")?;
-                shard_balance =
-                    Some(ShardBalance::parse(&v).ok_or_else(|| {
-                        format!("--shard-balance must be count or cost, got `{v}`")
-                    })?);
-            }
             "--merge-shards" => {
                 let v = flag_value(args, &mut i, "--merge-shards")?;
                 let before = merge_dirs.len();
@@ -249,7 +232,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             .map_err(|e| e.to_string())?;
     }
     cfg.sim.validate().map_err(|e| e.to_string())?;
-    let calibrate_from = flags.calibrate_from;
 
     // Sharding flags must form a coherent mode.
     let modes = [
@@ -265,16 +247,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if shard.is_none() && shard_out.is_some() {
         return Err("--shard-out is only meaningful with --shard I/N".into());
-    }
-    if shard.is_none() && shard_balance.is_some() {
-        return Err("--shard-balance is only meaningful with --shard I/N".into());
-    }
-    // Merge runs no cost model at all — silently accepting the flag would
-    // suggest calibration affected the (purely validated) merge.
-    if calibrate_from.is_some() && !merge_dirs.is_empty() {
-        return Err(
-            "--calibrate-from has no effect with --merge-shards (nothing is scheduled)".into(),
-        );
     }
     // Shard and retry modes render nothing, so output flags would be
     // silently dead.
@@ -314,8 +286,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         caches: flags.caches,
         shard,
         shard_out,
-        shard_balance: shard_balance.unwrap_or_default(),
-        calibrate_from,
         merge_dirs,
         retry_manifest,
         metrics_out: flags.metrics_out,
@@ -410,27 +380,16 @@ impl<'a> FigureSink<'a> {
     }
 }
 
-/// Merges the calibration fit (when `--calibrate-from` ran) into a
-/// scheduling report before it renders.
-fn merge_calibration(sched: &mut SchedReport, calibration: Option<Calibration>) {
-    if let Some(calibration) = calibration {
-        sched.calibration_samples = Some(calibration.samples);
-        sched.calibration_error_milli = Some(calibration.error_milli);
-    }
-}
-
 /// Runs one shard slice and seals its manifest. See the exit-code contract
 /// in the module docs.
 fn run_shard_mode(
     campaign: &Campaign,
     plans: Vec<FigurePlan>,
     spec: ShardSpec,
-    balance: ShardBalance,
-    calibration: Option<Calibration>,
     out_dir: &std::path::Path,
     metrics_out: Option<&std::path::Path>,
 ) -> ExitCode {
-    let run = campaign.run_shard(plans, spec, balance);
+    let run = campaign.run_shard(plans, spec);
     if let Some(error) = run.error() {
         eprintln!("error: {error}");
     }
@@ -447,9 +406,7 @@ fn run_shard_mode(
     eprintln!("sealed {}", path.display());
     let mut summary = RunSummary::new();
     summary.push_shard(run.report(bytes));
-    let mut sched = run.sched_report();
-    merge_calibration(&mut sched, calibration);
-    summary.push_sched(sched);
+    summary.push_sched(run.sched_report());
     push_cache_reports(&mut summary, campaign);
     let metrics_ok = finish_telemetry(&mut summary, metrics_out);
     eprint!("{}", summary.render());
@@ -469,7 +426,6 @@ fn run_shard_mode(
 fn run_retry_mode(
     campaign: &Campaign,
     plans: Vec<FigurePlan>,
-    calibration: Option<Calibration>,
     manifest_path: &std::path::Path,
     metrics_out: Option<&std::path::Path>,
 ) -> ExitCode {
@@ -516,9 +472,7 @@ fn run_retry_mode(
     eprintln!("sealed {}", path.display());
     let mut summary = RunSummary::new();
     summary.push_shard(run.report(bytes));
-    let mut sched = run.sched_report();
-    merge_calibration(&mut sched, calibration);
-    summary.push_sched(sched);
+    summary.push_sched(run.sched_report());
     push_cache_reports(&mut summary, campaign);
     let metrics_ok = finish_telemetry(&mut summary, metrics_out);
     eprint!("{}", summary.render());
@@ -581,50 +535,14 @@ fn main() -> ExitCode {
         }
     };
 
-    // Calibrate the cost model from prior manifests before anything is
-    // scheduled. Scheduling never changes results, only order, so a failed
-    // expectation here is a usage error, not a partial run.
-    let mut calibration: Option<Calibration> = None;
-    if let Some(dir) = &opts.calibrate_from {
-        let timings = match cost::load_timings(dir) {
-            Ok(timings) => timings,
-            Err(message) => {
-                eprintln!("error: --calibrate-from: {message}");
-                return ExitCode::from(2);
-            }
-        };
-        let jobs: Vec<_> = plans
-            .iter()
-            .flat_map(|plan| plan.jobs().iter().cloned())
-            .collect();
-        let grid = stms_sim::campaign::shard::distinct_jobs(campaign.cfg(), &jobs);
-        let (model, fit) = JobCostModel::calibrated(campaign.cfg(), &grid, &timings);
-        campaign.set_cost_model(model);
-        calibration = Some(fit);
-    }
-
     // Shard mode: generate/replay one slice, seal, render nothing.
     if let Some(spec) = opts.shard {
         let out_dir = opts.shard_out.as_deref().expect("validated in parse_args");
-        return run_shard_mode(
-            &campaign,
-            plans,
-            spec,
-            opts.shard_balance,
-            calibration,
-            out_dir,
-            opts.metrics_out.as_deref(),
-        );
+        return run_shard_mode(&campaign, plans, spec, out_dir, opts.metrics_out.as_deref());
     }
     // Retry mode: rerun only the jobs missing from a partial manifest.
     if let Some(manifest) = &opts.retry_manifest {
-        return run_retry_mode(
-            &campaign,
-            plans,
-            calibration,
-            manifest,
-            opts.metrics_out.as_deref(),
-        );
+        return run_retry_mode(&campaign, plans, manifest, opts.metrics_out.as_deref());
     }
 
     let mut sink = FigureSink::new(&opts);
@@ -649,12 +567,10 @@ fn main() -> ExitCode {
     push_cache_reports(&mut summary, &campaign);
     let metrics_ok = finish_telemetry(&mut summary, opts.metrics_out.as_deref());
     // A plain run keeps stderr summary-free (the quiet-default contract);
-    // the scheduling line joins whenever a summary prints anyway, or when
-    // a calibration was explicitly requested. Render order is fixed by
-    // RunSummary, not push order.
-    if let Some(mut sched) = campaign.take_sched_report() {
-        if calibration.is_some() || !summary.is_empty() {
-            merge_calibration(&mut sched, calibration);
+    // the scheduling line joins whenever a summary prints anyway. Render
+    // order is fixed by RunSummary, not push order.
+    if let Some(sched) = campaign.take_sched_report() {
+        if !summary.is_empty() {
             summary.push_sched(sched);
         }
     }

@@ -54,7 +54,7 @@ mod result_store;
 pub mod shard;
 mod trace_store;
 
-pub use cost::{Calibration, JobCostModel, Partition};
+pub use cost::Partition;
 pub use job::{
     job_fingerprint, DecodeJobOutputError, JobError, JobOutput, JobSpec, JobTask, MODEL_VERSION,
 };
@@ -75,7 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use stms_mem::CmpSimulator;
 use stms_prefetch::MissTraceCollector;
-use stms_types::{Fingerprint, Fingerprintable, ShardBalance, ShardJobTiming, ShardManifest};
+use stms_types::{Fingerprint, Fingerprintable, ShardJobTiming, ShardManifest};
 use stms_workloads::WorkloadSpec;
 
 /// The render stage of a [`FigurePlan`]: folds the plan's job outputs
@@ -409,10 +409,6 @@ pub struct Campaign {
     /// Per-job phase log of this campaign's *executed* jobs (flight
     /// leaders), drained into shard manifests by [`Campaign::run_shard`].
     timings: Arc<Mutex<Vec<ShardJobTiming>>>,
-    /// Predictor behind LPT pool ordering and cost-balanced sharding;
-    /// analytic by default, replaced by [`Campaign::set_cost_model`] when
-    /// the CLI calibrates from prior manifests.
-    cost_model: Mutex<JobCostModel>,
     /// When set, streaming figure runs submit jobs in plan order instead of
     /// longest-predicted-first — the toggle the LPT byte-identity test
     /// flips.
@@ -489,30 +485,10 @@ impl Campaign {
             results,
             flights: Arc::new(FlightTable::default()),
             timings: Arc::new(Mutex::new(Vec::new())),
-            cost_model: Mutex::new(JobCostModel::analytic()),
             plan_order: AtomicBool::new(false),
             sched: Mutex::new(None),
             pool: JobPool::new(threads),
         })
-    }
-
-    /// Replaces the job cost model (e.g. with a calibrated one from
-    /// `--calibrate-from`). The model steers LPT pool ordering and
-    /// cost-balanced shard partitioning; it never affects results, only
-    /// scheduling.
-    pub fn set_cost_model(&self, model: JobCostModel) {
-        *self
-            .cost_model
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = model;
-    }
-
-    /// The current job cost model.
-    pub fn cost_model(&self) -> JobCostModel {
-        self.cost_model
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// Submits streaming figure jobs in plan order instead of the default
@@ -666,9 +642,8 @@ impl Campaign {
     /// Drains the scheduling record of the last streaming figure run into a
     /// summary report: how much work the cost model predicted, in which
     /// order the pool received it, and — matched against the measured phase
-    /// log — the model's actual error. Returns `None` when no streaming run
-    /// happened since the last call. The calibration fields are left empty;
-    /// the CLI fills them when `--calibrate-from` produced the model.
+    /// log — the model's actual error, overall and per prefetcher family.
+    /// Returns `None` when no streaming run happened since the last call.
     pub fn take_sched_report(&self) -> Option<stms_stats::SchedReport> {
         let log = self
             .sched
@@ -697,12 +672,9 @@ impl Campaign {
             jobs: log.jobs,
             predicted_total_ns: log.predicted_total_ns,
             order: Some(log.order.to_string()),
-            calibration_samples: None,
-            calibration_error_milli: None,
             actual_jobs: samples.len() as u64,
             actual_error_milli,
             family_error_milli: cost::family_errors(samples),
-            balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
             mean_shard_ns: None,
@@ -843,10 +815,9 @@ impl Campaign {
         // stays indexed by *plan* position: the permutation is undone when
         // completions arrive, which is why rendered output is byte-identical
         // to plan-order submission.
-        let model = self.cost_model();
         let costs: Vec<u64> = jobs
             .iter()
-            .map(|job| model.predicted_ns(&self.cfg, job))
+            .map(|job| cost::predicted_ns(&self.cfg, job))
             .collect();
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         let plan_order = self.plan_order.load(Ordering::Relaxed);
@@ -923,31 +894,21 @@ impl Campaign {
 
     /// Runs only this shard's slice of the distinct job grid and returns
     /// the sealed-ready manifest plus any per-job failures (see the
-    /// [`shard`] module docs for the partition contract).
-    ///
-    /// `balance` picks the partition function: [`ShardBalance::Count`] is
-    /// the historical `fingerprint % count` split, [`ShardBalance::Cost`]
-    /// bin-packs by predicted cost ([`cost::partition`]). Either way every
-    /// shard of the fleet computes the identical full partition from the
-    /// same grid and model, with no coordination; the mode is sealed into
-    /// the manifest header and cross-checked at merge.
+    /// [`shard`] module docs for the partition contract). Every shard of
+    /// the fleet computes the identical full partition
+    /// ([`cost::partition`]) from the same grid, with no coordination.
     ///
     /// Only the *generate/replay* stage runs — render closures of the plans
     /// are dropped; the merge stage re-derives them from the same figure
     /// selection.
-    pub fn run_shard(
-        &self,
-        plans: Vec<FigurePlan>,
-        spec: ShardSpec,
-        balance: ShardBalance,
-    ) -> ShardRun {
+    pub fn run_shard(&self, plans: Vec<FigurePlan>, spec: ShardSpec) -> ShardRun {
         // The manifest's timing section must describe exactly this shard's
         // executions, not phases left over from earlier batches.
         let _ = self.take_timings();
         let (jobs, _parts) = flatten_plans(plans);
         let distinct = shard::distinct_jobs(&self.cfg, &jobs);
         let jobs_total = distinct.len() as u64;
-        let (owned, makespan) = self.owned_slice(distinct, spec, balance);
+        let (owned, makespan) = self.owned_slice(distinct, spec);
         // Labels + the fingerprints partitioning already derived — nothing
         // is hashed twice.
         let idents = owned
@@ -973,7 +934,6 @@ impl Campaign {
                 config: self.cfg.fingerprint(),
                 index: spec.index,
                 count: spec.count,
-                balance,
                 entries,
                 timings: self.take_timings(),
             },
@@ -989,10 +949,8 @@ impl Campaign {
         &self,
         distinct: Vec<(Fingerprint, JobSpec)>,
         spec: ShardSpec,
-        balance: ShardBalance,
     ) -> (Vec<(Fingerprint, JobSpec)>, ShardMakespan) {
-        let model = self.cost_model();
-        let partition = cost::partition(&model, &self.cfg, &distinct, spec.count, balance);
+        let partition = cost::partition(&self.cfg, &distinct, spec.count);
         let this_shard_ns = partition.shard_cost_ns[(spec.index - 1) as usize];
         let max_shard_ns = partition.shard_cost_ns.iter().copied().max().unwrap_or(0);
         let total: u128 = partition.shard_cost_ns.iter().sum();
@@ -1010,7 +968,6 @@ impl Campaign {
         (
             owned,
             ShardMakespan {
-                balance,
                 this_shard_ns,
                 max_shard_ns,
                 mean_shard_ns,
@@ -1065,12 +1022,9 @@ impl Campaign {
         let jobs_total = distinct.len() as u64;
         let sealed: std::collections::HashSet<Fingerprint> =
             manifest.entries.iter().map(|(fp, _)| *fp).collect();
-        // The manifest says how its fleet partitioned; ownership is
-        // recomputed under the same mode. A cost-balanced manifest heals
-        // correctly only when this campaign's cost model matches the
-        // sealing run's — pass the same `--calibrate-from` (or none, for
-        // the analytic default) the fleet used.
-        let (owned, makespan) = self.owned_slice(distinct, spec, manifest.balance);
+        // The partition is a pure function of the grid and configuration,
+        // so ownership recomputes exactly as the sealing fleet saw it.
+        let (owned, makespan) = self.owned_slice(distinct, spec);
         let jobs_owned = owned.len() as u64;
         let missing: Vec<(Fingerprint, JobSpec)> = owned
             .into_iter()
@@ -1104,7 +1058,6 @@ impl Campaign {
                 config: manifest.config,
                 index: manifest.index,
                 count: manifest.count,
-                balance: manifest.balance,
                 entries,
                 timings,
             },
@@ -1264,8 +1217,6 @@ pub struct ShardRun {
 /// Predicted per-shard cost of one fleet partition, as seen by one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMakespan {
-    /// How the fleet partitioned.
-    pub balance: ShardBalance,
     /// Predicted cost of this shard's slice.
     pub this_shard_ns: u128,
     /// Predicted cost of the heaviest shard — the fleet's makespan
@@ -1301,12 +1252,9 @@ impl ShardRun {
             jobs: self.jobs_owned,
             predicted_total_ns: self.makespan.this_shard_ns,
             order: None,
-            calibration_samples: None,
-            calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
             family_error_milli: Vec::new(),
-            balance: Some(self.makespan.balance.label().to_string()),
             this_shard_ns: Some(self.makespan.this_shard_ns),
             max_shard_ns: Some(self.makespan.max_shard_ns),
             mean_shard_ns: Some(self.makespan.mean_shard_ns),
@@ -1976,29 +1924,32 @@ mod tests {
         let plans = |cfg: &ExperimentConfig| vec![crate::experiments::plan_table2(cfg)];
         let campaign = Campaign::with_threads(cfg.clone(), 2);
 
-        // Seal a complete shard, then amputate two entries to fake the
-        // manifest a partially-failed `--shard` run leaves behind.
-        let run = campaign.run_shard(
-            plans(&cfg),
-            ShardSpec::new(1, 1).unwrap(),
-            ShardBalance::Count,
-        );
+        // Seal a complete 2-way fleet, then amputate two entries of shard 1
+        // to fake the manifest a partially-failed `--shard` run leaves
+        // behind.
+        let sibling = campaign.run_shard(plans(&cfg), ShardSpec::new(2, 2).unwrap());
+        assert!(sibling.is_complete());
+        sibling.write_manifest(&dir).unwrap();
+        let run = campaign.run_shard(plans(&cfg), ShardSpec::new(1, 2).unwrap());
         assert!(run.is_complete());
+        assert!(run.jobs_owned > 2, "shard 1 owns {} jobs", run.jobs_owned);
         let complete_entries = run.manifest.entries.len();
         assert_eq!(run.jobs_rerun, run.jobs_owned);
         let mut partial = run.manifest.clone();
         let removed: Vec<_> = partial.entries.drain(..2).collect();
         let (path, _) = shard::write_manifest(&dir, &partial).unwrap();
 
-        // Retry executes exactly the two missing jobs…
+        // Retry recomputes the same partition and executes exactly the two
+        // missing jobs…
         let retry = campaign.retry_shard(plans(&cfg), &path).unwrap();
+        assert_eq!(retry.jobs_owned, run.jobs_owned);
         assert_eq!(retry.jobs_rerun, 2);
         assert!(retry.is_complete());
         assert_eq!(retry.manifest.entries.len(), complete_entries);
         retry.write_manifest(&dir).unwrap();
 
         // …and the rerun outputs are bit-identical to the originals, so the
-        // sealed-in-place manifest merges byte-identically.
+        // sealed-in-place manifest merges with its sibling byte-identically.
         let reopened = ShardManifest::open(&std::fs::read(&path).unwrap()).unwrap();
         for (fingerprint, payload) in &removed {
             let healed = reopened
@@ -2049,7 +2000,7 @@ mod tests {
         let mut owned_total = 0;
         for index in 1..=2 {
             let spec = ShardSpec::new(index, 2).unwrap();
-            let run = campaign.run_shard(plans(&cfg), spec, ShardBalance::Count);
+            let run = campaign.run_shard(plans(&cfg), spec);
             assert!(run.is_complete(), "{:?}", run.failures);
             assert!(run.error().is_none());
             owned_total += run.jobs_owned;

@@ -9,15 +9,15 @@
 //! lifecycle into independently schedulable stages:
 //!
 //! 1. **Partition.** Every job has a stable content fingerprint
-//!    ([`super::job::job_fingerprint`]). Under the default *count* balance
-//!    a [`ShardSpec`] `I/N` owns exactly the jobs whose
-//!    `fingerprint % N == I - 1`; under *cost* balance
-//!    ([`super::cost::partition`]) ownership comes from deterministic
-//!    greedy bin-packing of predicted job costs. Either way the partition
-//!    is a pure function of the distinct job set, so for any job list and
-//!    any `N` the shards are disjoint, cover every job, and agree across
-//!    processes and job-list orderings — no coordination, no shared state.
-//!    The mode is sealed into every manifest and cross-checked at merge.
+//!    ([`super::job::job_fingerprint`]). [`super::cost::partition`] assigns
+//!    the distinct jobs to the `N` shards by deterministic greedy
+//!    bin-packing of their analytic predicted costs, and a [`ShardSpec`]
+//!    `I/N` owns the jobs assigned to shard `I`. The partition is a pure
+//!    function of the distinct job set and the configuration, so for any
+//!    job list and any `N` the shards are disjoint, cover every job, and
+//!    agree across processes and job-list orderings — no coordination, no
+//!    shared state, and a retried shard recomputes exactly the slice its
+//!    fleet sealed.
 //! 2. **Execute & seal.** [`super::Campaign::run_shard`] runs only the owned
 //!    slice and seals the finished outputs into a versioned
 //!    [`stms_types::ShardManifest`] (`shard-I-of-N.stms`), each entry keyed
@@ -42,9 +42,7 @@ use std::fs;
 use std::io;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use stms_types::{
-    Fingerprint, Fingerprintable, ManifestError, ShardBalance, ShardJobTiming, ShardManifest,
-};
+use stms_types::{Fingerprint, Fingerprintable, ManifestError, ShardJobTiming, ShardManifest};
 
 /// One slice of an `N`-way partition: 1-based `index` out of `count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,15 +83,6 @@ impl ShardSpec {
                 .map_err(|_| format!("shard {what} must be a number, got `{part}`"))
         };
         Self::new(parse(index, "index")?, parse(count, "count")?)
-    }
-
-    /// Whether this shard owns the job with the given stable fingerprint.
-    ///
-    /// Ownership is a pure function of `(fingerprint, count)`, so any two
-    /// processes partitioning the same job list agree without coordinating,
-    /// and reordering the job list cannot move a job between shards.
-    pub fn owns(&self, fingerprint: Fingerprint) -> bool {
-        fingerprint.raw() % u128::from(self.count) == u128::from(self.index - 1)
     }
 }
 
@@ -210,7 +199,6 @@ struct PayloadRef {
 #[derive(Debug)]
 pub struct MergedShards {
     count: u32,
-    balance: ShardBalance,
     // Manifest indices seen, sorted (a shard owning no jobs still seals an
     // empty manifest and counts as present).
     present: Vec<u32>,
@@ -233,8 +221,7 @@ impl MergedShards {
     ///
     /// The same directory may be listed more than once (duplicate *paths*
     /// are ignored); two different files claiming the same shard index are
-    /// a [`MergeError::DuplicateShard`], and manifests partitioned under
-    /// different balance modes are a [`MergeError::BalanceMismatch`].
+    /// a [`MergeError::DuplicateShard`].
     ///
     /// # Errors
     ///
@@ -255,7 +242,6 @@ impl MergedShards {
             });
         }
         let mut count: Option<u32> = None;
-        let mut balance: Option<ShardBalance> = None;
         let mut seen_shards: HashMap<u32, PathBuf> = HashMap::new();
         let mut sources: Vec<PathBuf> = Vec::new();
         let mut outputs: HashMap<Fingerprint, PayloadRef> = HashMap::new();
@@ -292,14 +278,6 @@ impl MergedShards {
                     found: scan.count,
                 });
             }
-            let expected_balance = *balance.get_or_insert(scan.balance);
-            if scan.balance != expected_balance {
-                return Err(MergeError::BalanceMismatch {
-                    path,
-                    expected: expected_balance,
-                    found: scan.balance,
-                });
-            }
             if let Some(first) = seen_shards.insert(scan.index, path.clone()) {
                 return Err(MergeError::DuplicateShard {
                     index: scan.index,
@@ -332,7 +310,6 @@ impl MergedShards {
         present.sort_unstable();
         Ok(MergedShards {
             count: count.expect("at least one manifest"),
-            balance: balance.expect("at least one manifest"),
             present,
             sources,
             outputs,
@@ -343,11 +320,6 @@ impl MergedShards {
     /// The shard count the manifests agree on.
     pub fn count(&self) -> u32 {
         self.count
-    }
-
-    /// The balance mode the manifests agree on.
-    pub fn balance(&self) -> ShardBalance {
-        self.balance
     }
 
     /// Number of distinct job outputs carried by the manifest set.
@@ -475,17 +447,6 @@ pub enum MergeError {
         /// Count claimed by this file.
         found: u32,
     },
-    /// Two manifests were partitioned under different balance modes —
-    /// their ownership functions disagree, so their union cannot be a
-    /// consistent partition.
-    BalanceMismatch {
-        /// The disagreeing file.
-        path: PathBuf,
-        /// Balance mode claimed by the manifests seen so far.
-        expected: ShardBalance,
-        /// Balance mode claimed by this file.
-        found: ShardBalance,
-    },
     /// Two manifest files claim the same shard index.
     DuplicateShard {
         /// The repeated index.
@@ -562,16 +523,6 @@ impl fmt::Display for MergeError {
                  other manifests claim {expected}",
                 path.display()
             ),
-            MergeError::BalanceMismatch {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "shard manifest `{}` was partitioned by {found}, \
-                 other manifests by {expected}",
-                path.display()
-            ),
             MergeError::DuplicateShard {
                 index,
                 count,
@@ -640,13 +591,26 @@ mod tests {
 
     #[test]
     fn every_fingerprint_is_owned_by_exactly_one_shard() {
+        let cfg = ExperimentConfig::quick();
+        let jobs: Vec<JobSpec> = [presets::web_apache(), presets::oltp_db2()]
+            .into_iter()
+            .flat_map(|preset| {
+                [
+                    JobSpec::collect_misses(preset.clone()),
+                    JobSpec::replay(preset.clone(), PrefetcherKind::Baseline),
+                    JobSpec::replay(preset, PrefetcherKind::ideal()),
+                ]
+            })
+            .collect();
+        let distinct = distinct_jobs(&cfg, &jobs);
         for count in [1u32, 2, 3, 7, 16] {
-            for raw in [0u128, 1, 2, 99, u128::MAX, 0xdead_beef] {
-                let fingerprint = Fingerprint::from_raw(raw);
-                let owners: Vec<u32> = (1..=count)
-                    .filter(|&index| ShardSpec { index, count }.owns(fingerprint))
-                    .collect();
-                assert_eq!(owners.len(), 1, "fp {raw} under N={count}: {owners:?}");
+            let owners = crate::campaign::cost::partition(&cfg, &distinct, count).owners;
+            assert_eq!(owners.len(), distinct.len());
+            for (owner, (fingerprint, _)) in owners.iter().zip(&distinct) {
+                assert!(
+                    (1..=count).contains(owner),
+                    "fp {fingerprint} under N={count}: shard {owner}"
+                );
             }
         }
     }

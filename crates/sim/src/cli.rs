@@ -31,7 +31,7 @@ use std::path::PathBuf;
 
 /// The flags both binaries accept: `--quick`, `--accesses N`,
 /// `--threads N`, `--result-cache DIR`, `--cache-verify`,
-/// `--stream-traces`, `--metrics-out FILE` and `--calibrate-from DIR`.
+/// `--stream-traces` and `--metrics-out FILE`.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignFlags {
     /// `--quick`: start from [`ExperimentConfig::quick`] instead of
@@ -47,9 +47,6 @@ pub struct CampaignFlags {
     pub caches: CampaignCaches,
     /// `--metrics-out FILE`: where to write the telemetry snapshot.
     pub metrics_out: Option<PathBuf>,
-    /// `--calibrate-from DIR`: prior shard manifests to fit the job-cost
-    /// model from.
-    pub calibrate_from: Option<PathBuf>,
 }
 
 impl CampaignFlags {
@@ -72,9 +69,6 @@ impl CampaignFlags {
             "--stream-traces" => self.caches.stream_traces = true,
             "--metrics-out" => {
                 self.metrics_out = Some(flag_value(args, i, "--metrics-out")?.into());
-            }
-            "--calibrate-from" => {
-                self.calibrate_from = Some(flag_value(args, i, "--calibrate-from")?.into());
             }
             _ => return Ok(false),
         }
@@ -162,7 +156,6 @@ mod tests {
             ("--threads 0", "--threads must be non-zero"),
             ("--result-cache", "--result-cache requires a value"),
             ("--metrics-out", "--metrics-out requires a value"),
-            ("--calibrate-from", "--calibrate-from requires a value"),
             ("--figures fig4", "unknown flag `--figures`"),
         ] {
             assert_eq!(parse(line).unwrap_err(), message, "{line}");
@@ -173,7 +166,7 @@ mod tests {
     fn flags_apply_in_any_order() {
         let flags = parse(
             "--accesses 7000 --stream-traces --quick --threads 3 --cache-verify \
-             --result-cache r --metrics-out m.json --calibrate-from c",
+             --result-cache r --metrics-out m.json",
         )
         .unwrap();
         assert_eq!(flags.config().accesses, 7_000);
@@ -181,7 +174,6 @@ mod tests {
         assert!(flags.caches.stream_traces && flags.caches.verify);
         assert_eq!(flags.caches.result_dir, Some(PathBuf::from("r")));
         assert_eq!(flags.metrics_out, Some(PathBuf::from("m.json")));
-        assert_eq!(flags.calibrate_from, Some(PathBuf::from("c")));
 
         let quick = parse("--quick").unwrap();
         assert_eq!(quick.config().accesses, ExperimentConfig::quick().accesses);

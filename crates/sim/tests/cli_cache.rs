@@ -149,8 +149,14 @@ fn runs_without_cache_flags_print_no_summary() {
 
 #[test]
 fn removed_trace_tier_flags_are_unknown() {
-    // The pipeline flags are covered by `cli_pipeline.rs`.
-    for flag in ["--trace-cache", "--trace-codec"] {
+    // The pipeline flags are covered by `cli_pipeline.rs`; the scheduling
+    // knobs went with calibrated and modulo partitioning.
+    for flag in [
+        "--trace-cache",
+        "--trace-codec",
+        "--calibrate-from",
+        "--shard-balance",
+    ] {
         let out = run_cli(&[flag, "2", "--figures", "table1"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -158,6 +164,7 @@ fn removed_trace_tier_flags_are_unknown() {
             stderr.contains(&format!("unknown flag `{flag}`")),
             "{flag}: {stderr}"
         );
-        assert!(!stderr.contains("trace-cache DIR"), "usage lists {flag}");
+        let usage = stderr.split("usage:").nth(1).expect("usage printed");
+        assert!(!usage.contains(flag), "usage lists {flag}: {usage}");
     }
 }

@@ -1,19 +1,17 @@
-//! Property tests for the deterministic shard partitioners: for any job
-//! list and any shard count `N`, the shards must be pairwise disjoint,
-//! cover every job, be independent of the job-list ordering, and be stable
-//! across "process runs" (a fresh recomputation from equal inputs) — under
-//! both the modulo (`count`) and the greedy cost-balanced (`cost`)
-//! assignment. Plus the in-process scheduling invariant: LPT submission
-//! order renders byte-identical figures to plan-order submission.
+//! Property tests for the deterministic cost-balanced shard partition: for
+//! any job list and any shard count `N`, the shards must be pairwise
+//! disjoint, cover every job, be independent of the job-list ordering, be
+//! stable across "process runs" (a fresh recomputation from equal inputs),
+//! and meet the greedy balance bounds. Plus the in-process scheduling
+//! invariant: LPT submission order renders byte-identical figures to
+//! plan-order submission.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use stms_sim::campaign::{
-    cost, job_fingerprint, shard::distinct_jobs, JobCostModel, JobSpec, ShardSpec,
-};
+use stms_sim::campaign::{cost, shard::distinct_jobs, JobSpec};
 use stms_sim::{ExperimentConfig, PrefetcherKind};
-use stms_types::{Fingerprint, ShardBalance};
+use stms_types::Fingerprint;
 use stms_workloads::presets;
 
 /// A small pool of distinct workloads to draw from.
@@ -60,119 +58,15 @@ fn build_jobs(draws: &[(usize, usize, usize)]) -> Vec<JobSpec> {
     draws.iter().map(|&(w, k, p)| job(w, k, p)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    #[test]
-    fn shards_are_disjoint_and_cover_every_job(
-        draws in arb_job_draws(),
-        count in 1u32..9,
-    ) {
-        let cfg = ExperimentConfig::quick();
-        let jobs = build_jobs(&draws);
-        let distinct = distinct_jobs(&cfg, &jobs);
-
-        // Every distinct job is owned by exactly one of the N shards.
-        for (fingerprint, job) in &distinct {
-            let owners: Vec<u32> = (1..=count)
-                .filter(|&index| ShardSpec::new(index, count).unwrap().owns(*fingerprint))
-                .collect();
-            prop_assert_eq!(
-                owners.len(),
-                1,
-                "job `{}` owned by shards {:?} of {}",
-                job.label(),
-                owners,
-                count
-            );
-        }
-
-        // The per-shard slices partition the distinct set exactly.
-        let total_owned: usize = (1..=count)
-            .map(|index| {
-                let shard = ShardSpec::new(index, count).unwrap();
-                distinct.iter().filter(|(fp, _)| shard.owns(*fp)).count()
-            })
-            .sum();
-        prop_assert_eq!(total_owned, distinct.len());
-    }
-
-    #[test]
-    fn assignment_ignores_job_list_order(
-        draws in arb_job_draws(),
-        count in 1u32..9,
-        rotation in 0usize..40,
-    ) {
-        let cfg = ExperimentConfig::quick();
-        let jobs = build_jobs(&draws);
-        // A rotation is an order change that keeps the multiset intact.
-        let mut rotated = jobs.clone();
-        if !rotated.is_empty() {
-            let mid = rotation % rotated.len();
-            rotated.rotate_left(mid);
-        }
-
-        let assignment = |jobs: &[JobSpec]| -> Vec<(u128, u32)> {
-            let mut owned: Vec<(u128, u32)> = distinct_jobs(&cfg, jobs)
-                .into_iter()
-                .map(|(fp, _)| {
-                    let owner = (1..=count)
-                        .find(|&index| ShardSpec::new(index, count).unwrap().owns(fp))
-                        .expect("exactly one owner");
-                    (fp.raw(), owner)
-                })
-                .collect();
-            owned.sort_unstable();
-            owned
-        };
-        prop_assert_eq!(assignment(&jobs), assignment(&rotated));
-    }
-
-    #[test]
-    fn assignment_is_stable_across_recomputation(
-        draws in arb_job_draws(),
-        count in 1u32..9,
-    ) {
-        // A "second process": rebuild everything from the same draws. The
-        // fingerprints are content hashes, so equal inputs must reproduce
-        // the identical partition (nothing depends on allocation order,
-        // HashMap iteration, or process identity).
-        let cfg = ExperimentConfig::quick();
-        let first = build_jobs(&draws);
-        let second = build_jobs(&draws);
-        for (a, b) in first.iter().zip(&second) {
-            let fa = job_fingerprint(&cfg, a);
-            let fb = job_fingerprint(&cfg, b);
-            prop_assert_eq!(fa, fb);
-            for index in 1..=count {
-                let shard = ShardSpec::new(index, count).unwrap();
-                prop_assert_eq!(shard.owns(fa), shard.owns(fb));
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_owns_everything(draws in arb_job_draws()) {
-        let cfg = ExperimentConfig::quick();
-        let jobs = build_jobs(&draws);
-        let shard = ShardSpec::new(1, 1).unwrap();
-        for (fingerprint, _) in distinct_jobs(&cfg, &jobs) {
-            prop_assert!(shard.owns(fingerprint));
-        }
-    }
-}
-
 /// Owner of every distinct job keyed by fingerprint — the order-free view
 /// two partitions are compared through.
 fn owners_by_fingerprint(
     cfg: &ExperimentConfig,
     jobs: &[JobSpec],
     count: u32,
-    balance: ShardBalance,
 ) -> (BTreeMap<Fingerprint, u32>, Vec<u128>) {
     let distinct = distinct_jobs(cfg, jobs);
-    let model = JobCostModel::analytic();
-    let partition = cost::partition(&model, cfg, &distinct, count, balance);
+    let partition = cost::partition(cfg, &distinct, count);
     let owners = distinct
         .iter()
         .zip(&partition.owners)
@@ -188,14 +82,11 @@ proptest! {
     fn cost_partition_is_disjoint_covering_and_accounted(
         draws in arb_job_draws(),
         count in 1u32..9,
-        cost_mode in 0usize..2,
     ) {
-        let balance = if cost_mode == 1 { ShardBalance::Cost } else { ShardBalance::Count };
         let cfg = ExperimentConfig::quick();
         let jobs = build_jobs(&draws);
         let distinct = distinct_jobs(&cfg, &jobs);
-        let model = JobCostModel::analytic();
-        let partition = cost::partition(&model, &cfg, &distinct, count, balance);
+        let partition = cost::partition(&cfg, &distinct, count);
 
         // One owner per distinct job (disjoint + covering by construction
         // of the parallel array — but every owner must be a real shard).
@@ -209,7 +100,7 @@ proptest! {
         prop_assert_eq!(partition.shard_cost_ns.len(), count as usize);
         let mut tallied = vec![0u128; count as usize];
         for ((_, job), &owner) in distinct.iter().zip(&partition.owners) {
-            tallied[owner as usize - 1] += u128::from(model.predicted_ns(&cfg, job));
+            tallied[owner as usize - 1] += u128::from(cost::predicted_ns(&cfg, job));
         }
         prop_assert_eq!(&tallied, &partition.shard_cost_ns);
     }
@@ -219,9 +110,7 @@ proptest! {
         draws in arb_job_draws(),
         count in 1u32..9,
         rotation in 0usize..40,
-        cost_mode in 0usize..2,
     ) {
-        let balance = if cost_mode == 1 { ShardBalance::Cost } else { ShardBalance::Count };
         let cfg = ExperimentConfig::quick();
         let jobs = build_jobs(&draws);
         let mut rotated = jobs.clone();
@@ -230,8 +119,8 @@ proptest! {
             rotated.rotate_left(mid);
         }
         prop_assert_eq!(
-            owners_by_fingerprint(&cfg, &jobs, count, balance),
-            owners_by_fingerprint(&cfg, &rotated, count, balance)
+            owners_by_fingerprint(&cfg, &jobs, count),
+            owners_by_fingerprint(&cfg, &rotated, count)
         );
     }
 
@@ -239,21 +128,32 @@ proptest! {
     fn cost_partition_is_stable_across_recomputation(
         draws in arb_job_draws(),
         count in 1u32..9,
-        cost_mode in 0usize..2,
     ) {
         // A "second process": every input rebuilt from the same draws must
         // reproduce the byte-identical partition — the coordination-free
         // contract that lets fleet shards compute their slices
         // independently. Nothing may depend on HashMap iteration order,
         // allocation addresses, or process identity.
-        let balance = if cost_mode == 1 { ShardBalance::Cost } else { ShardBalance::Count };
         let cfg = ExperimentConfig::quick();
         let first = build_jobs(&draws);
         let second = build_jobs(&draws);
         prop_assert_eq!(
-            owners_by_fingerprint(&cfg, &first, count, balance),
-            owners_by_fingerprint(&cfg, &second, count, balance)
+            owners_by_fingerprint(&cfg, &first, count),
+            owners_by_fingerprint(&cfg, &second, count)
         );
+    }
+
+    #[test]
+    fn single_shard_owns_everything(draws in arb_job_draws()) {
+        let cfg = ExperimentConfig::quick();
+        let jobs = build_jobs(&draws);
+        let (owners, shard_cost_ns) = owners_by_fingerprint(&cfg, &jobs, 1);
+        prop_assert!(owners.values().all(|&owner| owner == 1));
+        let total: u128 = distinct_jobs(&cfg, &jobs)
+            .iter()
+            .map(|(_, job)| u128::from(cost::predicted_ns(&cfg, job)))
+            .sum();
+        prop_assert_eq!(shard_cost_ns, vec![total]);
     }
 
     #[test]
@@ -261,8 +161,7 @@ proptest! {
         draws in arb_job_draws(),
         count in 1u32..9,
     ) {
-        // The classical greedy guarantees, which hold for *every* input
-        // (unlike "beats modulo", which a lucky modulo split can violate):
+        // The classical greedy guarantees, which hold for *every* input:
         // the heaviest shard carries at most the mean load plus one job,
         // and the spread between heaviest and lightest is at most the
         // largest single job. Both follow from each job landing on the
@@ -270,11 +169,10 @@ proptest! {
         let cfg = ExperimentConfig::quick();
         let jobs = build_jobs(&draws);
         let distinct = distinct_jobs(&cfg, &jobs);
-        let model = JobCostModel::analytic();
-        let partition = cost::partition(&model, &cfg, &distinct, count, ShardBalance::Cost);
+        let partition = cost::partition(&cfg, &distinct, count);
         let max_job = distinct
             .iter()
-            .map(|(_, job)| u128::from(model.predicted_ns(&cfg, job)))
+            .map(|(_, job)| u128::from(cost::predicted_ns(&cfg, job)))
             .max()
             .unwrap_or(0);
         let total: u128 = partition.shard_cost_ns.iter().sum();
@@ -341,16 +239,22 @@ fn full_campaign_grid_partitions_without_gaps() {
         "figures share cells, so the distinct set must be smaller"
     );
     for count in [2u32, 3, 5] {
+        let owners = cost::partition(&cfg, &distinct, count).owners;
+        assert_eq!(owners.len(), distinct.len());
         let owned_sum: usize = (1..=count)
-            .map(|index| {
-                let shard = ShardSpec::new(index, count).unwrap();
-                distinct.iter().filter(|(fp, _)| shard.owns(*fp)).count()
-            })
+            .map(|index| owners.iter().filter(|&&owner| owner == index).count())
             .sum();
         assert_eq!(
             owned_sum,
             distinct.len(),
             "{count} shards must cover the grid exactly once"
         );
+        // Every shard gets work: the grid is far larger than the fleet.
+        for index in 1..=count {
+            assert!(
+                owners.contains(&index),
+                "shard {index}/{count} owns nothing"
+            );
+        }
     }
 }

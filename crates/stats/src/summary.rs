@@ -129,7 +129,7 @@ impl ShardReport {
 
 /// What the cost-model scheduler predicted for one run — the `scheduling:`
 /// summary line. Covers both the in-process LPT submission (predicted
-/// total, calibration quality, predicted-vs-actual error) and a shard run's
+/// total, predicted-vs-actual error) and a shard run's
 /// fleet picture (per-shard predicted cost and spread). Optional fields
 /// render only when present, so one type serves every run mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,23 +142,16 @@ pub struct SchedReport {
     /// Submission order of the in-process pool (`"lpt"` or `"plan"`);
     /// `None` for shard runs.
     pub order: Option<String>,
-    /// Timing records a `--calibrate-from` fit matched, when one ran.
-    pub calibration_samples: Option<u64>,
-    /// In-sample mean absolute error of that fit, in per-mille of observed
-    /// time (123 renders as `12.3%`).
-    pub calibration_error_milli: Option<u64>,
     /// Executed jobs whose measured run time was matched against a
     /// prediction.
     pub actual_jobs: u64,
     /// Mean absolute prediction error against those measurements, in
-    /// per-mille of observed time.
+    /// per-mille of observed time (123 renders as `12.3%`).
     pub actual_error_milli: Option<u64>,
     /// The same error per prefetcher family (`"stms"`, `"markov"`, …), in
     /// a fixed family order; empty when nothing was matched.
     pub family_error_milli: Vec<(String, u64)>,
-    /// Shard balance mode (`"cost"` or `"count"`); `None` in-process.
-    pub balance: Option<String>,
-    /// Predicted cost of this shard's slice.
+    /// Predicted cost of this shard's slice; `None` in-process.
     pub this_shard_ns: Option<u128>,
     /// Predicted cost of the heaviest shard (the fleet makespan estimate).
     pub max_shard_ns: Option<u128>,
@@ -174,9 +167,9 @@ fn milli_percent(milli: u64) -> String {
 
 impl SchedReport {
     /// One summary line, e.g.
-    /// `scheduling: 24 jobs, predicted 1234 ns, lpt order, calibrated on 24 timings (4.2% error), actual error 12.3% (24 jobs: stms 8.1%, markov 20.5%)`
+    /// `scheduling: 24 jobs, predicted 1234 ns, lpt order, actual error 12.3% (24 jobs: stms 8.1%, markov 20.5%)`
     /// or, for a shard run,
-    /// `scheduling: 5 jobs, predicted 1234 ns, balance cost: this shard 1234 ns, max shard 2000 ns, spread 1.200x`.
+    /// `scheduling: 5 jobs, predicted 1234 ns, this shard 1234 ns, max shard 2000 ns, spread 1.200x`.
     pub fn render_line(&self) -> String {
         let mut line = format!(
             "scheduling: {} jobs, predicted {} ns",
@@ -184,10 +177,6 @@ impl SchedReport {
         );
         if let Some(order) = &self.order {
             let _ = write!(line, ", {order} order");
-        }
-        if let Some(samples) = self.calibration_samples {
-            let error = milli_percent(self.calibration_error_milli.unwrap_or(0));
-            let _ = write!(line, ", calibrated on {samples} timings ({error} error)");
         }
         if let Some(error) = self.actual_error_milli {
             let _ = write!(
@@ -202,15 +191,13 @@ impl SchedReport {
             }
             line.push(')');
         }
-        if let Some(balance) = &self.balance {
-            let this = self.this_shard_ns.unwrap_or(0);
+        if let Some(this) = self.this_shard_ns {
             let max = self.max_shard_ns.unwrap_or(0);
             let mean = self.mean_shard_ns.unwrap_or(0);
             let spread_milli = (max * 1000).checked_div(mean).unwrap_or(0);
             let _ = write!(
                 line,
-                ", balance {balance}: this shard {this} ns, max shard {max} ns, \
-                 spread {}.{:03}x",
+                ", this shard {this} ns, max shard {max} ns, spread {}.{:03}x",
                 spread_milli / 1000,
                 spread_milli % 1000
             );
@@ -545,12 +532,9 @@ mod tests {
             jobs: 24,
             predicted_total_ns: 1234,
             order: Some("lpt".to_string()),
-            calibration_samples: Some(24),
-            calibration_error_milli: Some(42),
             actual_jobs: 24,
             actual_error_milli: Some(123),
             family_error_milli: Vec::new(),
-            balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
             mean_shard_ns: None,
@@ -558,40 +542,34 @@ mod tests {
         assert_eq!(
             in_process.render_line(),
             "scheduling: 24 jobs, predicted 1234 ns, lpt order, \
-             calibrated on 24 timings (4.2% error), actual error 12.3% (24 jobs)"
+             actual error 12.3% (24 jobs)"
         );
 
         let shard = SchedReport {
             jobs: 5,
             predicted_total_ns: 1234,
             order: None,
-            calibration_samples: None,
-            calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
             family_error_milli: Vec::new(),
-            balance: Some("cost".to_string()),
             this_shard_ns: Some(1234),
             max_shard_ns: Some(2000),
             mean_shard_ns: Some(1600),
         };
         assert_eq!(
             shard.render_line(),
-            "scheduling: 5 jobs, predicted 1234 ns, balance cost: \
+            "scheduling: 5 jobs, predicted 1234 ns, \
              this shard 1234 ns, max shard 2000 ns, spread 1.250x"
         );
 
-        // The minimal form: no calibration, no actuals, no shards.
+        // The minimal form: no actuals, no shards.
         let bare = SchedReport {
             jobs: 2,
             predicted_total_ns: 10,
             order: Some("plan".to_string()),
-            calibration_samples: None,
-            calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
             family_error_milli: Vec::new(),
-            balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
             mean_shard_ns: None,
@@ -608,8 +586,6 @@ mod tests {
             jobs: 293,
             predicted_total_ns: 7_222_030_000,
             order: Some("lpt".to_string()),
-            calibration_samples: None,
-            calibration_error_milli: None,
             actual_jobs: 293,
             actual_error_milli: Some(812),
             family_error_milli: vec![
@@ -617,7 +593,6 @@ mod tests {
                 ("stms".to_string(), 600),
                 ("markov".to_string(), 1402),
             ],
-            balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
             mean_shard_ns: None,
@@ -639,12 +614,9 @@ mod tests {
             jobs: 3,
             predicted_total_ns: 9,
             order: Some("lpt".to_string()),
-            calibration_samples: None,
-            calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
             family_error_milli: Vec::new(),
-            balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
             mean_shard_ns: None,
@@ -668,12 +640,9 @@ mod tests {
             jobs: 1,
             predicted_total_ns: 1,
             order: None,
-            calibration_samples: None,
-            calibration_error_milli: None,
             actual_jobs: 0,
             actual_error_milli: None,
             family_error_milli: Vec::new(),
-            balance: None,
             this_shard_ns: None,
             max_shard_ns: None,
             mean_shard_ns: None,

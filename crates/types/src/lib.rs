@@ -36,8 +36,8 @@ pub use addr::{LineAddr, PhysAddr, CACHE_LINE_BYTES};
 pub use fingerprint::{Fingerprint, Fingerprintable, Fingerprinter};
 pub use ids::CoreId;
 pub use manifest::{
-    ManifestEntry, ManifestError, ManifestScan, ShardBalance, ShardJobTiming, ShardManifest,
-    MANIFEST_CODEC_V2, MANIFEST_CODEC_VERSION,
+    ManifestEntry, ManifestError, ManifestScan, ShardJobTiming, ShardManifest,
+    MANIFEST_CODEC_VERSION,
 };
 pub use stream::{AccessChunk, TraceChunks, TraceSource, TraceStreamError, DEFAULT_CHUNK_LEN};
 pub use time::Cycle;

@@ -4,8 +4,7 @@
 //! hand its finished job outputs to a later merge stage as a single sealed
 //! artifact. This module defines that artifact's *container*: a
 //! [`ShardManifest`] carries the configuration fingerprint the shard ran
-//! under, its 1-based `index` out of `count` shards, the
-//! [`ShardBalance`] mode the fleet partitioned under, and an ordered list
+//! under, its 1-based `index` out of `count` shards, and an ordered list
 //! of `(job fingerprint, payload bytes)` entries. The payload bytes are
 //! opaque here — the campaign layer stores `JobOutput::encode` blobs — so
 //! the envelope stays free of simulator types, exactly like [`crate::blob`].
@@ -18,36 +17,32 @@
 //! cross-checks the recorded key against the header it decoded — a renamed
 //! or spliced file fails closed.
 //!
-//! # Versions
+//! # Layout
 //!
-//! The body layout is versioned through the blob codec field, mirroring the
-//! trace chunk codec: [`ShardManifest::open`] and [`ShardManifest::scan`]
-//! dispatch on the recorded version, so every historical manifest stays
-//! readable with no flags.
-//!
-//! * **v2** (legacy): a flat run of entries followed by the timing section.
-//!   Readable, no longer written (except by [`ShardManifest::seal_v2`],
-//!   which exists for cross-version tests). Carries no balance mode; v2
-//!   fleets always partitioned by `fingerprint % count`, so readers report
-//!   [`ShardBalance::Count`].
-//! * **v3** (current): entries are packed into *chunks*, each framed by its
-//!   own length and checksum. [`ShardManifest::scan`] exploits the framing to
-//!   validate a manifest of any size in bounded memory (one chunk resident
-//!   at a time) while handing each entry's absolute payload offset to the
-//!   caller, so a merge can index payloads and read them back on demand
-//!   instead of materializing every output at once.
+//! There is one body layout, [`MANIFEST_CODEC_VERSION`] 4: a fixed header
+//! (config fingerprint, index, count, entry and chunk counts), entries
+//! packed into *chunks* each framed by its own length and checksum, then
+//! the per-job timing section. [`ShardManifest::scan`] exploits the
+//! framing to validate a manifest of any size in bounded memory (one chunk
+//! resident at a time) while handing each entry's absolute payload offset
+//! to the caller, so a merge can index payloads and read them back on
+//! demand instead of materializing every output at once. Files of any
+//! other codec version (the flat v2 layout, the v3 layout with its
+//! partition-mode byte) fail closed with
+//! [`BlobError::CodecVersionMismatch`]: job fingerprints lead with the
+//! simulator's model version, so no manifest sealed by an older build
+//! could cover a current campaign anyway.
 //!
 //! # Example
 //!
 //! ```
-//! use stms_types::manifest::{ShardBalance, ShardManifest};
+//! use stms_types::manifest::ShardManifest;
 //! use stms_types::Fingerprint;
 //!
 //! let manifest = ShardManifest {
 //!     config: Fingerprint::from_raw(7),
 //!     index: 1,
 //!     count: 2,
-//!     balance: ShardBalance::Cost,
 //!     entries: vec![(Fingerprint::from_raw(11), b"output".to_vec())],
 //!     timings: Vec::new(),
 //! };
@@ -61,82 +56,22 @@ use crate::fingerprint::{Fingerprint, Fingerprinter};
 use std::fmt;
 use std::io::Read;
 
-/// Version of the manifest body layout written by [`ShardManifest::seal`].
-/// Bump when the encoding changes and teach the readers to dispatch; v2
-/// appended the per-job timing section, v3 added the balance-mode header
-/// byte and chunk-framed entries for bounded-memory streaming reads.
-pub const MANIFEST_CODEC_VERSION: u16 = 3;
+/// Version of the manifest body layout written and read by
+/// [`ShardManifest::seal`] and [`ShardManifest::scan`]; any other version
+/// fails closed. v2 was a flat entry run, v3 added chunk framing and a
+/// partition-mode byte, and v4 is v3 without that byte.
+pub const MANIFEST_CODEC_VERSION: u16 = 4;
 
-/// The legacy flat body layout (readable, no longer written).
-pub const MANIFEST_CODEC_V2: u16 = 2;
-
-/// Target encoded size of one entry chunk in a v3 manifest. Chunks are
-/// packed greedily: an entry larger than the target gets a chunk of its
-/// own (entries are never split, so every payload stays contiguous on
-/// disk and addressable by one `(offset, len)` pair).
+/// Target encoded size of one entry chunk. Chunks are packed greedily: an
+/// entry larger than the target gets a chunk of its own (entries are never
+/// split, so every payload stays contiguous on disk and addressable by one
+/// `(offset, len)` pair).
 pub const MANIFEST_CHUNK_BYTES: usize = 256 * 1024;
-
-/// How a fleet partitioned the distinct job grid across shards. Sealed
-/// into every v3 manifest so a merge can verify all shards agreed on the
-/// same partition function before trusting their coverage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ShardBalance {
-    /// Modulo partition: shard `i` of `n` owns jobs with
-    /// `fingerprint % n == i - 1`. Splits job *count* evenly.
-    #[default]
-    Count,
-    /// Greedy LPT bin-packing over predicted job costs: splits predicted
-    /// *work* evenly. Deterministic, so every shard computes the same
-    /// partition from the same grid and cost model.
-    Cost,
-}
-
-impl ShardBalance {
-    /// The byte this mode encodes to in a v3 manifest header.
-    pub fn code(self) -> u8 {
-        match self {
-            ShardBalance::Count => 0,
-            ShardBalance::Cost => 1,
-        }
-    }
-
-    /// Decodes a v3 header byte; `None` for bytes no known mode uses.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(ShardBalance::Count),
-            1 => Some(ShardBalance::Cost),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling of this mode (`count` / `cost`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardBalance::Count => "count",
-            ShardBalance::Cost => "cost",
-        }
-    }
-
-    /// Parses the CLI spelling accepted by `--shard-balance`.
-    pub fn parse(text: &str) -> Option<Self> {
-        match text {
-            "count" => Some(ShardBalance::Count),
-            "cost" => Some(ShardBalance::Cost),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ShardBalance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Wall-clock phase timings of one job as measured by the shard that ran
 /// it, keyed by the same stable job fingerprint as the output entries.
-/// Merge folds these into fleet-wide phase histograms — the calibration
-/// input for cost-model shard partitioning.
+/// Merge folds these into the fleet-wide `merge.{queue,run}_ns`
+/// histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardJobTiming {
     /// Stable fingerprint of the job the timing belongs to.
@@ -158,10 +93,6 @@ pub struct ShardManifest {
     pub index: u32,
     /// Total number of shards in the partition.
     pub count: u32,
-    /// Partition function the fleet ran under. Merge rejects mixed fleets:
-    /// a `cost` shard and a `count` shard of the same campaign computed
-    /// different ownership and cannot have consistent coverage.
-    pub balance: ShardBalance,
     /// `(job fingerprint, opaque payload)` pairs, in the shard's job order.
     pub entries: Vec<(Fingerprint, Vec<u8>)>,
     /// Per-job phase timings measured on this shard. Independent of
@@ -194,9 +125,6 @@ pub struct ManifestScan {
     pub index: u32,
     /// Total number of shards in the partition.
     pub count: u32,
-    /// Partition function the fleet ran under ([`ShardBalance::Count`] for
-    /// v2 manifests, which predate the field).
-    pub balance: ShardBalance,
     /// Number of entries the scan surfaced.
     pub entry_count: u64,
     /// Per-job phase timings measured on the shard.
@@ -222,14 +150,12 @@ impl ShardManifest {
         format!("shard-{}-of-{}.stms", self.index, self.count)
     }
 
-    /// Encodes and seals the manifest into the bytes written to disk
-    /// (current layout, [`MANIFEST_CODEC_VERSION`]).
+    /// Encodes and seals the manifest into the bytes written to disk.
     pub fn seal(&self) -> Vec<u8> {
         let mut body = Vec::new();
         body.extend_from_slice(&self.config.raw().to_le_bytes());
         body.extend_from_slice(&self.index.to_le_bytes());
         body.extend_from_slice(&self.count.to_le_bytes());
-        body.push(self.balance.code());
         body.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
         // Pack entries greedily into framed chunks. Chunk boundaries never
         // split an entry, so a chunk holding one oversized payload may
@@ -272,39 +198,16 @@ impl ShardManifest {
         )
     }
 
-    /// Encodes the manifest in the legacy v2 flat layout. Kept so
-    /// cross-version tests (and tools that must interoperate with v2-era
-    /// fleets) can produce historical files; v2 has no balance field, so
-    /// reopening always reports [`ShardBalance::Count`].
-    pub fn seal_v2(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.config.raw().to_le_bytes());
-        body.extend_from_slice(&self.index.to_le_bytes());
-        body.extend_from_slice(&self.count.to_le_bytes());
-        body.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for (fingerprint, payload) in &self.entries {
-            body.extend_from_slice(&fingerprint.raw().to_le_bytes());
-            body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            body.extend_from_slice(payload);
-        }
-        encode_timings(&mut body, &self.timings);
-        blob::seal(
-            MANIFEST_CODEC_V2,
-            Self::seal_key(self.config, self.index, self.count),
-            &body,
-        )
-    }
-
     /// Unseals and decodes a manifest previously produced by
-    /// [`ShardManifest::seal`] (or a legacy v2 writer — the recorded codec
-    /// version picks the decoder).
+    /// [`ShardManifest::seal`].
     ///
     /// # Errors
     ///
     /// Returns [`ManifestError`] when the blob envelope fails, the body is
     /// malformed, the shard header is inconsistent (`index` outside
     /// `1..=count`), the recorded blob key disagrees with the decoded header,
-    /// or an entry fingerprint repeats within the manifest.
+    /// or an entry fingerprint repeats within the manifest. A file of any
+    /// other codec version is a [`BlobError::CodecVersionMismatch`].
     pub fn open(data: &[u8]) -> Result<Self, ManifestError> {
         let mut entries = Vec::new();
         let scan = Self::scan(data, |entry| {
@@ -314,19 +217,17 @@ impl ShardManifest {
             config: scan.config,
             index: scan.index,
             count: scan.count,
-            balance: scan.balance,
             entries,
             timings: scan.timings,
         })
     }
 
     /// Streams a sealed manifest from `reader`, invoking `on_entry` once per
-    /// entry and returning the header and timing section. Version-dispatched
-    /// like [`ShardManifest::open`], with one memory guarantee the eager
-    /// path cannot give: for v3 files only one chunk buffer is resident at a
-    /// time, so a merge over million-job manifests can validate everything
-    /// and index payload offsets without materializing any payload set. (A
-    /// v2 file has no chunk framing and is transiently buffered whole.)
+    /// entry and returning the header and timing section, with one memory
+    /// guarantee the eager [`ShardManifest::open`] cannot give: only one
+    /// chunk buffer is resident at a time, so a merge over million-job
+    /// manifests can validate everything and index payload offsets without
+    /// materializing any payload set.
     ///
     /// Every validation `open` performs happens here too — envelope, key,
     /// shard coordinates, per-chunk checksums, the whole-payload checksum
@@ -358,14 +259,13 @@ impl ShardManifest {
         // On a short file, let `parse_header` name the first missing field
         // so truncated prefixes read exactly as they always have.
         let header = blob::parse_header(&header_bytes[..got])?;
-        match header.codec_version {
-            MANIFEST_CODEC_V2 => scan_v2(&header_bytes, reader, &mut on_entry),
-            MANIFEST_CODEC_VERSION => scan_v3(header, reader, &mut on_entry),
-            found => Err(ManifestError::Blob(BlobError::CodecVersionMismatch {
-                found,
+        if header.codec_version != MANIFEST_CODEC_VERSION {
+            return Err(ManifestError::Blob(BlobError::CodecVersionMismatch {
+                found: header.codec_version,
                 expected: MANIFEST_CODEC_VERSION,
-            })),
+            }));
         }
+        scan_body(header, reader, &mut on_entry)
     }
 }
 
@@ -394,114 +294,7 @@ fn read_exact<R: Read>(
     })
 }
 
-/// Decodes the legacy flat layout. The file was already partially consumed
-/// (its blob header); the rest is buffered whole — v2 predates chunk
-/// framing, so its single trailing checksum can only be verified against
-/// the complete payload.
-fn scan_v2<R: Read>(
-    header_bytes: &[u8; blob::HEADER_LEN],
-    mut reader: R,
-    on_entry: &mut impl FnMut(ManifestEntry<'_>),
-) -> Result<ManifestScan, ManifestError> {
-    let mut data = header_bytes.to_vec();
-    reader
-        .read_to_end(&mut data)
-        .map_err(|err| ManifestError::Io {
-            error: err.to_string(),
-        })?;
-    let (recorded_key, body) = blob::open_any(&data, MANIFEST_CODEC_V2)?;
-    let mut cursor = Cursor { body, at: 0 };
-    let config = Fingerprint::from_raw(u128::from_le_bytes(
-        cursor
-            .take(16, "config fingerprint")?
-            .try_into()
-            .expect("16 bytes"),
-    ));
-    let index = u32::from_le_bytes(cursor.take(4, "shard index")?.try_into().expect("4 bytes"));
-    let count = u32::from_le_bytes(cursor.take(4, "shard count")?.try_into().expect("4 bytes"));
-    if count == 0 || index == 0 || index > count {
-        return Err(ManifestError::BadShard { index, count });
-    }
-    if recorded_key != ShardManifest::seal_key(config, index, count) {
-        return Err(ManifestError::KeyMismatch);
-    }
-    let entry_count =
-        u64::from_le_bytes(cursor.take(8, "entry count")?.try_into().expect("8 bytes")) as usize;
-    let mut seen = std::collections::HashSet::with_capacity(entry_count.min(1 << 16));
-    for _ in 0..entry_count {
-        let fingerprint = Fingerprint::from_raw(u128::from_le_bytes(
-            cursor
-                .take(16, "entry fingerprint")?
-                .try_into()
-                .expect("16 bytes"),
-        ));
-        let len = u64::from_le_bytes(cursor.take(8, "entry length")?.try_into().expect("8 bytes"))
-            as usize;
-        let payload_offset = (blob::HEADER_LEN + cursor.at) as u64;
-        let payload = cursor.take(len, "entry payload")?;
-        if !seen.insert(fingerprint) {
-            return Err(ManifestError::DuplicateEntry { fingerprint });
-        }
-        on_entry(ManifestEntry {
-            fingerprint,
-            offset: payload_offset,
-            payload,
-        });
-    }
-    let timing_count =
-        u64::from_le_bytes(cursor.take(8, "timing count")?.try_into().expect("8 bytes")) as usize;
-    let mut timings = Vec::with_capacity(timing_count.min(1 << 16));
-    for _ in 0..timing_count {
-        let fingerprint = Fingerprint::from_raw(u128::from_le_bytes(
-            cursor
-                .take(16, "timing fingerprint")?
-                .try_into()
-                .expect("16 bytes"),
-        ));
-        let queue_ns =
-            u64::from_le_bytes(cursor.take(8, "timing queue")?.try_into().expect("8 bytes"));
-        let run_ns = u64::from_le_bytes(cursor.take(8, "timing run")?.try_into().expect("8 bytes"));
-        timings.push(ShardJobTiming {
-            fingerprint,
-            queue_ns,
-            run_ns,
-        });
-    }
-    if cursor.at != cursor.body.len() {
-        return Err(ManifestError::TrailingData);
-    }
-    Ok(ManifestScan {
-        config,
-        index,
-        count,
-        balance: ShardBalance::Count,
-        entry_count: entry_count as u64,
-        timings,
-    })
-}
-
-/// A bounds-checked cursor over an in-memory manifest body (the v2 path).
-struct Cursor<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ManifestError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .ok_or(ManifestError::Truncated { what })?;
-        let slice = self
-            .body
-            .get(self.at..end)
-            .ok_or(ManifestError::Truncated { what })?;
-        self.at = end;
-        Ok(slice)
-    }
-}
-
-/// Streaming body reader for the v3 path: every read is bounds-checked
+/// Streaming body reader: every read is bounds-checked
 /// against the declared payload length, folded into the incremental
 /// whole-payload checksum, and tracked so absolute offsets can be
 /// reported.
@@ -524,9 +317,9 @@ impl<R: Read> BodyReader<R> {
     }
 }
 
-/// Streams the chunk-framed v3 layout: fixed header, framed entry chunks
+/// Streams the chunk-framed body: fixed header, framed entry chunks
 /// (validated one at a time), timing section, whole-payload checksum.
-fn scan_v3<R: Read>(
+fn scan_body<R: Read>(
     header: blob::BlobHeader,
     reader: R,
     on_entry: &mut impl FnMut(ManifestEntry<'_>),
@@ -538,22 +331,19 @@ fn scan_v3<R: Read>(
         payload_len,
         hasher: Fingerprinter::new(),
     };
-    let mut fixed = [0u8; 16 + 4 + 4 + 1 + 8 + 8];
+    let mut fixed = [0u8; 16 + 4 + 4 + 8 + 8];
     body.read_body(&mut fixed, "manifest header")?;
     let config = Fingerprint::from_raw(u128::from_le_bytes(fixed[0..16].try_into().unwrap()));
     let index = u32::from_le_bytes(fixed[16..20].try_into().unwrap());
     let count = u32::from_le_bytes(fixed[20..24].try_into().unwrap());
-    let balance_code = fixed[24];
-    let entry_count = u64::from_le_bytes(fixed[25..33].try_into().unwrap());
-    let chunk_count = u64::from_le_bytes(fixed[33..41].try_into().unwrap());
+    let entry_count = u64::from_le_bytes(fixed[24..32].try_into().unwrap());
+    let chunk_count = u64::from_le_bytes(fixed[32..40].try_into().unwrap());
     if count == 0 || index == 0 || index > count {
         return Err(ManifestError::BadShard { index, count });
     }
     if header.key != ShardManifest::seal_key(config, index, count) {
         return Err(ManifestError::KeyMismatch);
     }
-    let balance = ShardBalance::from_code(balance_code)
-        .ok_or(ManifestError::BadBalance { code: balance_code })?;
     // An entry costs at least 24 framing bytes, a chunk at least 16: a
     // vandalized count cannot force an absurd allocation.
     if entry_count.saturating_mul(24) > payload_len || chunk_count.saturating_mul(16) > payload_len
@@ -658,7 +448,6 @@ fn scan_v3<R: Read>(
         config,
         index,
         count,
-        balance,
         entry_count,
         timings,
     })
@@ -682,11 +471,6 @@ pub enum ManifestError {
         index: u32,
         /// Count found in the header (must be non-zero).
         count: u32,
-    },
-    /// The v3 balance-mode byte is one this build does not know.
-    BadBalance {
-        /// The unknown byte.
-        code: u8,
     },
     /// The blob key does not match the decoded header — a renamed or
     /// spliced file.
@@ -726,9 +510,6 @@ impl fmt::Display for ManifestError {
             ManifestError::BadShard { index, count } => {
                 write!(f, "shard manifest claims invalid shard {index}/{count}")
             }
-            ManifestError::BadBalance { code } => {
-                write!(f, "shard manifest has unknown balance mode byte {code}")
-            }
             ManifestError::KeyMismatch => {
                 write!(f, "shard manifest key does not match its header")
             }
@@ -755,7 +536,6 @@ mod tests {
             config: Fingerprint::from_raw(0xfeed_beef),
             index: 2,
             count: 3,
-            balance: ShardBalance::Count,
             entries: vec![
                 (Fingerprint::from_raw(1), vec![1, 2, 3]),
                 (Fingerprint::from_raw(2), Vec::new()),
@@ -776,6 +556,19 @@ mod tests {
         }
     }
 
+    /// The body of an entry-free, timing-free manifest with the given
+    /// header, for hand-built files the writer would refuse to produce.
+    fn empty_body(config: Fingerprint, index: u32, count: u32) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&config.raw().to_le_bytes());
+        body.extend_from_slice(&index.to_le_bytes());
+        body.extend_from_slice(&count.to_le_bytes());
+        body.extend_from_slice(&0u64.to_le_bytes()); // entries
+        body.extend_from_slice(&0u64.to_le_bytes()); // chunks
+        body.extend_from_slice(&0u64.to_le_bytes()); // timings
+        body
+    }
+
     #[test]
     fn seal_open_round_trips() {
         let manifest = sample();
@@ -790,41 +583,19 @@ mod tests {
     }
 
     #[test]
-    fn balance_mode_survives_the_round_trip() {
-        let manifest = ShardManifest {
-            balance: ShardBalance::Cost,
-            ..sample()
-        };
-        let back = ShardManifest::open(&manifest.seal()).unwrap();
-        assert_eq!(back.balance, ShardBalance::Cost);
-        assert_eq!(back, manifest);
-    }
-
-    #[test]
-    fn v2_files_stay_readable_and_report_count_balance() {
-        // Cross-version: a legacy flat-layout file opens with no flags and
-        // decodes identically (v2 predates the balance field, so it reads
-        // back as the modulo partition every v2 fleet used).
-        let manifest = sample();
-        let legacy = manifest.seal_v2();
-        let back = ShardManifest::open(&legacy).unwrap();
-        assert_eq!(back, manifest);
-        assert_eq!(back.balance, ShardBalance::Count);
-        // And the two encodings genuinely differ on disk.
-        assert_ne!(legacy, manifest.seal());
-    }
-
-    #[test]
     fn unknown_codec_versions_are_rejected() {
+        // The retired v2 (flat) and v3 (partition-mode byte) layouts fail
+        // closed like any unknown version, before their bodies are read.
         let body = [0u8; 4];
-        let sealed = blob::seal(9, Fingerprint::from_raw(1), &body);
-        assert!(matches!(
-            ShardManifest::open(&sealed),
-            Err(ManifestError::Blob(BlobError::CodecVersionMismatch {
-                found: 9,
+        for found in [2, 3, 9] {
+            let sealed = blob::seal(found, Fingerprint::from_raw(1), &body);
+            let expected = ManifestError::Blob(BlobError::CodecVersionMismatch {
+                found,
                 expected: MANIFEST_CODEC_VERSION,
-            }))
-        ));
+            });
+            assert_eq!(ShardManifest::open(&sealed), Err(expected.clone()));
+            assert_eq!(ShardManifest::scan(&sealed[..], |_| {}), Err(expected));
+        }
     }
 
     #[test]
@@ -838,33 +609,31 @@ mod tests {
                 .collect(),
             ..sample()
         };
-        for sealed in [manifest.seal(), manifest.seal_v2()] {
-            let mut seen = Vec::new();
-            let scan = ShardManifest::scan(&sealed[..], |entry| {
-                let at = entry.offset as usize;
-                assert_eq!(&sealed[at..at + entry.payload.len()], entry.payload);
-                seen.push((entry.fingerprint, entry.payload.to_vec()));
-            })
-            .unwrap();
-            assert_eq!(seen, manifest.entries);
-            assert_eq!(scan.entry_count, 30);
-            assert_eq!(scan.timings, manifest.timings);
-            assert_eq!(
-                (scan.config, scan.index, scan.count),
-                (manifest.config, 2, 3)
-            );
-        }
+        let sealed = manifest.seal();
+        let mut seen = Vec::new();
+        let scan = ShardManifest::scan(&sealed[..], |entry| {
+            let at = entry.offset as usize;
+            assert_eq!(&sealed[at..at + entry.payload.len()], entry.payload);
+            seen.push((entry.fingerprint, entry.payload.to_vec()));
+        })
+        .unwrap();
+        assert_eq!(seen, manifest.entries);
+        assert_eq!(scan.entry_count, 30);
+        assert_eq!(scan.timings, manifest.timings);
+        assert_eq!(
+            (scan.config, scan.index, scan.count),
+            (manifest.config, 2, 3)
+        );
     }
 
     #[test]
     fn corruption_and_truncation_fail_closed() {
-        for sealed in [sample().seal(), sample().seal_v2()] {
-            let mut bad = sealed.clone();
-            let mid = bad.len() / 2;
-            bad[mid] ^= 0xff;
-            assert!(ShardManifest::open(&bad).is_err());
-            assert!(ShardManifest::open(&sealed[..sealed.len() / 2]).is_err());
-        }
+        let sealed = sample().seal();
+        let mut bad = sealed.clone();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0xff;
+        assert!(ShardManifest::open(&bad).is_err());
+        assert!(ShardManifest::open(&sealed[..sealed.len() / 2]).is_err());
         assert!(matches!(
             ShardManifest::open(b"not a manifest"),
             Err(ManifestError::Blob(_))
@@ -873,7 +642,7 @@ mod tests {
 
     #[test]
     fn chunk_corruption_names_the_chunk() {
-        // Corrupt one payload byte inside the first framed chunk of a v3
+        // Corrupt one payload byte inside the first framed chunk of a
         // manifest: the per-chunk checksum catches it before the trailing
         // whole-payload checksum is even reached by a streaming scan.
         let manifest = ShardManifest {
@@ -882,9 +651,9 @@ mod tests {
             ..sample()
         };
         let mut sealed = manifest.seal();
-        // Fixed header is 41 bytes into the body; chunk length frame is 8
+        // Fixed header is 40 bytes into the body; chunk length frame is 8
         // more; the first entry's payload starts 24 bytes after that.
-        let payload_at = blob::HEADER_LEN + 41 + 8 + 24;
+        let payload_at = blob::HEADER_LEN + 40 + 8 + 24;
         sealed[payload_at] ^= 0xff;
         assert_eq!(
             ShardManifest::scan(&sealed[..], |_| {}),
@@ -893,39 +662,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_balance_bytes_are_rejected() {
-        let manifest = sample();
-        let mut sealed = manifest.seal();
-        // The balance byte sits 24 bytes into the body. Re-seal so the
-        // checksums stay valid and only the mode byte is unknown.
-        let (_, body) = blob::open_any(&sealed, MANIFEST_CODEC_VERSION).unwrap();
-        let mut body = body.to_vec();
-        body[24] = 9;
-        sealed = blob::seal(
-            MANIFEST_CODEC_VERSION,
-            ShardManifest::seal_key(manifest.config, manifest.index, manifest.count),
-            &body,
-        );
-        // The chunk checksums are untouched, so only the mode byte trips.
-        assert_eq!(
-            ShardManifest::open(&sealed),
-            Err(ManifestError::BadBalance { code: 9 })
-        );
-    }
-
-    #[test]
     fn inconsistent_headers_are_rejected() {
         // index 0, index > count, count 0: all invalid. Build them by
-        // sealing a legacy body by hand so the blob layer is satisfied.
+        // sealing a body by hand so the blob layer is satisfied.
         for (index, count) in [(0u32, 2u32), (3, 2), (0, 0)] {
-            let mut body = Vec::new();
-            body.extend_from_slice(&7u128.to_le_bytes());
-            body.extend_from_slice(&index.to_le_bytes());
-            body.extend_from_slice(&count.to_le_bytes());
-            body.extend_from_slice(&0u64.to_le_bytes()); // entries
-            body.extend_from_slice(&0u64.to_le_bytes()); // timings
+            let body = empty_body(Fingerprint::from_raw(7), index, count);
             let sealed = blob::seal(
-                MANIFEST_CODEC_V2,
+                MANIFEST_CODEC_VERSION,
                 ShardManifest::seal_key(Fingerprint::from_raw(7), index, count),
                 &body,
             );
@@ -941,14 +684,9 @@ mod tests {
         // Seal a valid manifest under the WRONG key (as if a shard-1 file
         // body were copied into a shard-2 file's envelope).
         let manifest = sample();
-        let mut body = Vec::new();
-        body.extend_from_slice(&manifest.config.raw().to_le_bytes());
-        body.extend_from_slice(&manifest.index.to_le_bytes());
-        body.extend_from_slice(&manifest.count.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes()); // entries
-        body.extend_from_slice(&0u64.to_le_bytes()); // timings
+        let body = empty_body(manifest.config, manifest.index, manifest.count);
         let wrong_key = ShardManifest::seal_key(manifest.config, manifest.index + 1, 9);
-        let sealed = blob::seal(MANIFEST_CODEC_V2, wrong_key, &body);
+        let sealed = blob::seal(MANIFEST_CODEC_VERSION, wrong_key, &body);
         assert_eq!(
             ShardManifest::open(&sealed),
             Err(ManifestError::KeyMismatch)
@@ -964,14 +702,12 @@ mod tests {
             ],
             ..sample()
         };
-        for sealed in [manifest.seal(), manifest.seal_v2()] {
-            assert_eq!(
-                ShardManifest::open(&sealed),
-                Err(ManifestError::DuplicateEntry {
-                    fingerprint: Fingerprint::from_raw(5)
-                })
-            );
-        }
+        assert_eq!(
+            ShardManifest::open(&manifest.seal()),
+            Err(ManifestError::DuplicateEntry {
+                fingerprint: Fingerprint::from_raw(5)
+            })
+        );
     }
 
     #[test]
@@ -988,27 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn balance_parses_its_cli_spellings() {
-        assert_eq!(ShardBalance::parse("count"), Some(ShardBalance::Count));
-        assert_eq!(ShardBalance::parse("cost"), Some(ShardBalance::Cost));
-        assert_eq!(ShardBalance::parse("weight"), None);
-        for mode in [ShardBalance::Count, ShardBalance::Cost] {
-            assert_eq!(ShardBalance::from_code(mode.code()), Some(mode));
-            assert_eq!(ShardBalance::parse(mode.label()), Some(mode));
-            assert_eq!(mode.to_string(), mode.label());
-        }
-        assert_eq!(ShardBalance::from_code(7), None);
-    }
-
-    #[test]
     fn errors_render_their_cause() {
         assert!(ManifestError::KeyMismatch.to_string().contains("key"));
         assert!(ManifestError::BadShard { index: 3, count: 2 }
             .to_string()
             .contains("3/2"));
-        assert!(ManifestError::BadBalance { code: 9 }
-            .to_string()
-            .contains("9"));
         assert!(ManifestError::ChunkChecksum { chunk: 4 }
             .to_string()
             .contains("chunk 4"));

@@ -11,9 +11,9 @@ Two modes:
       histogram internal consistency (bucket tallies sum to `count`,
       `max` <= `sum`, zero-count histograms are all-zero), plus any
       required counters (value > 0), histograms (count > 0) and gauges
-      (present; a gauge may legitimately read zero — e.g. a perfect
-      calibration error — so only presence is gated) named on the command
-      line — the "nonzero phase timers" gate in CI.
+      (present; a gauge is a last-set value that may legitimately read
+      zero, so only presence is gated) named on the command line — the
+      "nonzero phase timers" gate in CI.
 
   check_metrics.py --monotone SNAPSHOT SNAPSHOT...
       Asserts a sequence of snapshots taken from ONE process (e.g.
