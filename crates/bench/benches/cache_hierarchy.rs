@@ -11,7 +11,8 @@ use stms_mem::{
     CacheConfig, CmpSimulator, NullPrefetcher, Recording, SetAssocCache, SimOptions,
     StridePrefetcher, SystemConfig,
 };
-use stms_sim::ExperimentConfig;
+use stms_prefetch::FixedDepthConfig;
+use stms_sim::{ExperimentConfig, PrefetcherKind};
 use stms_types::{AccessKind, CoreId, LineAddr, Trace};
 use stms_workloads::{generate, presets};
 
@@ -145,6 +146,30 @@ fn bench_engine(c: &mut Criterion) {
             black_box(result.cycles)
         });
     });
+    // The same timing replay with each temporal-prefetcher family the
+    // figures run most: its hooks' cost is the difference to the null
+    // replay above.
+    let families = [
+        ("stms", PrefetcherKind::stms_with_sampling(0.125)),
+        ("ideal_tms", PrefetcherKind::ideal()),
+        (
+            "fixed_depth",
+            PrefetcherKind::FixedDepth(FixedDepthConfig::on_chip_with_depth(cfg.system.cores, 6)),
+        ),
+    ];
+    for (family, kind) in families {
+        group.bench_function(format!("replay_recorded_{family}_paper_100k"), |b| {
+            b.iter(|| {
+                let mut prefetcher = kind.build(cfg.system.cores);
+                let result = CmpSimulator::new(&cfg.system, cfg.sim).run_recorded(
+                    &paper,
+                    &recording,
+                    prefetcher.as_mut(),
+                );
+                black_box(result.cycles)
+            });
+        });
+    }
 
     group.finish();
 }

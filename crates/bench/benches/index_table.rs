@@ -51,6 +51,35 @@ fn bench_hash_index(c: &mut Criterion) {
         );
     }
 
+    // The on-chip bucket buffer alone: lookups whose buckets all stay
+    // buffered (64 lines in a 128-bucket buffer), and lookups that all miss
+    // it (4096 lines cycle through it, each lookup evicting the LRU bucket).
+    for (label, distinct) in [("bucket_buffer_hit", 64u64), ("bucket_buffer_miss", 4096)] {
+        group.bench_function(label, |b| {
+            let lines: Vec<LineAddr> = (0..distinct).map(|i| LineAddr::new(i * 37)).collect();
+            let mut dram = DramModel::new(SystemConfig::hpca09_baseline().dram);
+            let mut index = HashIndexTable::new(16 * 1024, 12, 128);
+            for (i, &line) in lines.iter().enumerate() {
+                if i % 2 == 0 {
+                    let pointer = HistoryPointer {
+                        core: CoreId::new(0),
+                        position: i as u64,
+                    };
+                    index.update(line, pointer, Cycle::ZERO, &mut dram);
+                }
+            }
+            b.iter(|| {
+                let mut found = 0u32;
+                for &line in &lines {
+                    if index.lookup(line, Cycle::ZERO, &mut dram).0.is_some() {
+                        found += 1;
+                    }
+                }
+                black_box(found)
+            });
+        });
+    }
+
     group.bench_function("lru_index_update_lookup", |b| {
         b.iter(|| {
             let mut index = LruIndex::new(16 * 1024);

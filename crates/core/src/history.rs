@@ -11,9 +11,9 @@
 //! following the last contiguously-prefetched address of a followed stream is
 //! marked, and later reads stop when they encounter a mark.
 
-use std::collections::HashSet;
 use stms_mem::{DramModel, TrafficClass};
 use stms_prefetch::HistoryLog;
+use stms_types::hashing::FastHashSet;
 use stms_types::{CoreId, Cycle, LineAddr};
 
 /// One block read from a history buffer.
@@ -52,7 +52,10 @@ pub struct HistoryBlock {
 #[derive(Debug)]
 pub struct OffChipHistory {
     logs: Vec<HistoryLog>,
-    end_marks: Vec<HashSet<u64>>,
+    /// Marked positions per core. A mark may lie ahead of the write point
+    /// (it then applies to the entry later appended there) and outlives the
+    /// entry it marks (reads never reach overwritten positions).
+    end_marks: Vec<FastHashSet<u64>>,
     pending_writes: Vec<usize>,
     entries_per_block: usize,
     appended: u64,
@@ -74,7 +77,7 @@ impl OffChipHistory {
             logs: (0..cores)
                 .map(|_| HistoryLog::new(entries_per_core))
                 .collect(),
-            end_marks: vec![HashSet::new(); cores],
+            end_marks: vec![FastHashSet::default(); cores],
             pending_writes: vec![0; cores],
             entries_per_block,
             appended: 0,
@@ -142,12 +145,12 @@ impl OffChipHistory {
         let idx = core.index();
         let ready_at = dram.access(TrafficClass::MetaLookup, 64, now);
         self.blocks_read += 1;
-        let raw = self.logs[idx].read_from(pos, self.entries_per_block);
-        let mut addresses = Vec::with_capacity(raw.len());
+        let (head, tail) = self.logs[idx].slices_from(pos, self.entries_per_block);
+        let marks = &self.end_marks[idx];
+        let mut addresses = Vec::with_capacity(head.len() + tail.len());
         let mut hit_end_mark = false;
-        for (offset, line) in raw.into_iter().enumerate() {
-            let p = pos + offset as u64;
-            if self.end_marks[idx].contains(&p) {
+        for (p, &line) in (pos..).zip(head.iter().chain(tail)) {
+            if marks.contains(&p) {
                 hit_end_mark = true;
                 break;
             }
@@ -311,5 +314,87 @@ mod tests {
     #[should_panic]
     fn zero_geometry_panics() {
         let _ = OffChipHistory::new(0, 10, 10);
+    }
+
+    /// `read_block` as it was before: a `read_from` copy, a second vector,
+    /// and one SipHash `HashSet` probe per entry. Kept as the reference the
+    /// fast read must match.
+    struct ReferenceHistory {
+        logs: Vec<HistoryLog>,
+        end_marks: Vec<std::collections::HashSet<u64>>,
+        entries_per_block: usize,
+    }
+
+    impl ReferenceHistory {
+        fn read_block(&self, core: CoreId, pos: u64) -> (Vec<LineAddr>, bool) {
+            let idx = core.index();
+            let raw = self.logs[idx].read_from(pos, self.entries_per_block);
+            let mut addresses = Vec::with_capacity(raw.len());
+            for (offset, line) in raw.into_iter().enumerate() {
+                if self.end_marks[idx].contains(&(pos + offset as u64)) {
+                    return (addresses, true);
+                }
+                addresses.push(line);
+            }
+            (addresses, false)
+        }
+    }
+
+    #[test]
+    fn fast_read_block_matches_hash_set_reference() {
+        use proptest::{Strategy, TestRng};
+        let ops = proptest::collection::vec((0u8..10, 0u16..2, 0u64..400), 1..500);
+        let mut rng = TestRng::deterministic("history::fast_read_block_matches_hash_set_reference");
+        let (mut stopped_at_mark, mut marks_ahead, mut truncated) = (0u64, 0u64, 0u64);
+        for _ in 0..40 {
+            let ops = ops.sample_value(&mut rng);
+            for (capacity, per_block) in [(16, 4), (24, 12), (7, 3), (256, 12)] {
+                let mut fast = OffChipHistory::new(2, capacity, per_block);
+                let mut reference = ReferenceHistory {
+                    logs: vec![HistoryLog::new(capacity); 2],
+                    end_marks: vec![std::collections::HashSet::new(); 2],
+                    entries_per_block: per_block,
+                };
+                let (mut fast_dram, mut ref_dram) = (dram(), dram());
+                for &(op, core, value) in &ops {
+                    let core = CoreId::new(core);
+                    let written = reference.logs[core.index()].next_position();
+                    match op {
+                        0..=4 => {
+                            let line = LineAddr::new(value);
+                            fast.append(core, line, Cycle::ZERO, &mut fast_dram);
+                            reference.logs[core.index()].append(line);
+                        }
+                        5 | 6 => {
+                            // Around the write point: behind it, at it, or
+                            // ahead of it (applies to a later append).
+                            let pos = (written + value % 24).saturating_sub(12);
+                            marks_ahead += u64::from(pos >= written);
+                            fast.mark_stream_end(core, pos);
+                            reference.end_marks[core.index()].insert(pos);
+                        }
+                        _ => {
+                            let pos = written.saturating_sub(value % 40);
+                            let block =
+                                fast.read_block(core, pos, Cycle::new(value), &mut fast_dram);
+                            ref_dram.access(TrafficClass::MetaLookup, 64, Cycle::new(value));
+                            let (addresses, hit_end_mark) = reference.read_block(core, pos);
+                            stopped_at_mark += u64::from(hit_end_mark);
+                            truncated += u64::from(!hit_end_mark && addresses.len() < per_block);
+                            assert_eq!(block.addresses, addresses);
+                            assert_eq!(block.hit_end_mark, hit_end_mark);
+                        }
+                    }
+                }
+                assert_eq!(
+                    fast_dram.traffic().meta_lookup,
+                    ref_dram.traffic().meta_lookup
+                );
+            }
+        }
+        assert!(
+            stopped_at_mark > 0 && marks_ahead > 0 && truncated > 0,
+            "the op streams must reach marks, marks ahead of the write point and short reads"
+        );
     }
 }

@@ -14,6 +14,7 @@
 //! buckets are written back lazily when bandwidth is available.
 
 use stms_mem::{DramModel, TrafficClass};
+use stms_types::hashing::SlotMap;
 use stms_types::{CoreId, Cycle, LineAddr};
 
 /// A pointer into a history buffer: which core's buffer and which position.
@@ -31,10 +32,20 @@ struct BucketEntry {
     pointer: HistoryPointer,
 }
 
-/// One 64-byte bucket: entries kept in MRU-first order.
+/// One 64-byte bucket: entries kept in MRU-first order. The entry vector
+/// grows on demand, so untouched buckets hold no entry storage.
 #[derive(Debug, Clone, Default)]
 struct Bucket {
     entries: Vec<BucketEntry>,
+}
+
+impl Bucket {
+    /// Moves the entry at `pos` to the MRU position, replacing it with
+    /// `entry`.
+    fn promote(&mut self, pos: usize, entry: BucketEntry) {
+        self.entries.copy_within(0..pos, 1);
+        self.entries[0] = entry;
+    }
 }
 
 /// Counters describing index-table behaviour.
@@ -51,6 +62,145 @@ pub struct IndexStats {
     pub buffer_hits: u64,
     /// Dirty buckets written back to memory.
     pub writebacks: u64,
+}
+
+/// Marks an unbuffered bucket and the ends of the buffer's recency list.
+const NONE: u32 = u32::MAX;
+
+/// One buffered bucket.
+#[derive(Debug, Clone, Copy)]
+struct BufferSlot {
+    bucket: u32,
+    dirty: bool,
+    /// Recency-list neighbours: `newer` was touched more recently, `older`
+    /// less recently ([`NONE`] at either end).
+    newer: u32,
+    older: u32,
+}
+
+/// The on-chip bucket buffer: an LRU set of buckets with dirty bits.
+///
+/// Every operation is O(1): `slot_of` maps a bucket to its buffer slot,
+/// and an intrusive doubly-linked recency list over the slots names the
+/// eviction victim. Slots fill in order while any is free; after that the
+/// least recently touched bucket is evicted, exactly as a recency-ordered
+/// list that evicts its front would.
+#[derive(Debug)]
+struct BucketBuffer {
+    capacity: usize,
+    /// Occupied slots; grows to `capacity`, then slots are reused.
+    slots: Vec<BufferSlot>,
+    /// Bucket -> buffer slot, [`NONE`] when not buffered.
+    slot_of: Vec<u32>,
+    /// Most and least recently touched slots.
+    newest: u32,
+    oldest: u32,
+}
+
+impl BucketBuffer {
+    fn new(capacity: usize, buckets: usize) -> Self {
+        assert!(
+            buckets < NONE as usize && capacity < NONE as usize,
+            "bucket and buffer counts must fit in 32 bits"
+        );
+        BucketBuffer {
+            capacity,
+            slots: Vec::with_capacity(capacity),
+            slot_of: vec![NONE; buckets],
+            newest: NONE,
+            oldest: NONE,
+        }
+    }
+
+    /// Makes `bucket` the most recently used buffered bucket if it is
+    /// buffered; returns whether it was.
+    fn touch(&mut self, bucket: usize) -> bool {
+        let slot = self.slot_of[bucket];
+        if slot == NONE {
+            return false;
+        }
+        if self.newest != slot {
+            self.unlink(slot);
+            self.push_newest(slot);
+        }
+        true
+    }
+
+    /// Buffers `bucket` (not buffered yet) as the most recently used one,
+    /// clean. Returns whether a dirty bucket was evicted to make room.
+    fn insert(&mut self, bucket: usize) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        let entry = BufferSlot {
+            bucket: bucket as u32,
+            dirty: false,
+            newer: NONE,
+            older: NONE,
+        };
+        let (slot, evicted_dirty) = if self.slots.len() < self.capacity {
+            self.slots.push(entry);
+            ((self.slots.len() - 1) as u32, false)
+        } else {
+            let victim = self.oldest;
+            let old = self.slots[victim as usize];
+            self.slot_of[old.bucket as usize] = NONE;
+            self.unlink(victim);
+            self.slots[victim as usize] = entry;
+            (victim, old.dirty)
+        };
+        self.slot_of[bucket] = slot;
+        self.push_newest(slot);
+        evicted_dirty
+    }
+
+    /// Sets the dirty bit of `bucket` if it is buffered.
+    fn mark_dirty(&mut self, bucket: usize) {
+        let slot = self.slot_of[bucket];
+        if slot != NONE {
+            self.slots[slot as usize].dirty = true;
+        }
+    }
+
+    /// Clears every dirty bit, least recently used first, and returns how
+    /// many were set.
+    fn clean_all(&mut self) -> u64 {
+        let mut cleaned = 0;
+        let mut slot = self.oldest;
+        while slot != NONE {
+            let entry = &mut self.slots[slot as usize];
+            cleaned += u64::from(entry.dirty);
+            entry.dirty = false;
+            slot = entry.newer;
+        }
+        cleaned
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let BufferSlot { newer, older, .. } = self.slots[slot as usize];
+        match newer {
+            NONE => self.newest = older,
+            newer => self.slots[newer as usize].older = older,
+        }
+        match older {
+            NONE => self.oldest = newer,
+            older => self.slots[older as usize].newer = newer,
+        }
+    }
+
+    fn push_newest(&mut self, slot: u32) {
+        let previous = self.newest;
+        {
+            let entry = &mut self.slots[slot as usize];
+            entry.newer = NONE;
+            entry.older = previous;
+        }
+        match previous {
+            NONE => self.oldest = slot,
+            previous => self.slots[previous as usize].newer = slot,
+        }
+        self.newest = slot;
+    }
 }
 
 /// The shared, bucketized main-memory index table with its on-chip bucket
@@ -73,10 +223,10 @@ pub struct IndexStats {
 #[derive(Debug)]
 pub struct HashIndexTable {
     buckets: Vec<Bucket>,
+    /// Hash -> bucket.
+    bucket_slots: SlotMap,
     entries_per_bucket: usize,
-    /// On-chip bucket buffer: (bucket index, dirty), MRU at the back.
-    buffer: Vec<(usize, bool)>,
-    buffer_capacity: usize,
+    buffer: BucketBuffer,
     stats: IndexStats,
 }
 
@@ -91,9 +241,9 @@ impl HashIndexTable {
         assert!(buckets > 0 && entries_per_bucket > 0);
         HashIndexTable {
             buckets: vec![Bucket::default(); buckets],
+            bucket_slots: SlotMap::new(buckets),
             entries_per_bucket,
-            buffer: Vec::with_capacity(bucket_buffer_blocks),
-            buffer_capacity: bucket_buffer_blocks,
+            buffer: BucketBuffer::new(bucket_buffer_blocks, buckets),
             stats: IndexStats::default(),
         }
     }
@@ -120,7 +270,7 @@ impl HashIndexTable {
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         h ^= h >> 31;
-        (h % self.buckets.len() as u64) as usize
+        self.bucket_slots.slot(h)
     }
 
     /// Brings `bucket` into the on-chip buffer, charging a memory read if it
@@ -133,31 +283,16 @@ impl HashIndexTable {
         dram: &mut DramModel,
         class: TrafficClass,
     ) -> Cycle {
-        if let Some(pos) = self.buffer.iter().position(|&(b, _)| b == bucket) {
-            // Refresh recency.
-            let entry = self.buffer.remove(pos);
-            self.buffer.push(entry);
+        if self.buffer.touch(bucket) {
             self.stats.buffer_hits += 1;
             return now;
         }
         let ready = dram.access(class, 64, now);
-        if self.buffer.len() >= self.buffer_capacity && self.buffer_capacity > 0 {
-            let (_, dirty) = self.buffer.remove(0);
-            if dirty {
-                dram.access(TrafficClass::MetaUpdate, 64, now);
-                self.stats.writebacks += 1;
-            }
-        }
-        if self.buffer_capacity > 0 {
-            self.buffer.push((bucket, false));
+        if self.buffer.insert(bucket) {
+            dram.access(TrafficClass::MetaUpdate, 64, now);
+            self.stats.writebacks += 1;
         }
         ready
-    }
-
-    fn mark_dirty(&mut self, bucket: usize) {
-        if let Some(entry) = self.buffer.iter_mut().find(|(b, _)| *b == bucket) {
-            entry.1 = true;
-        }
     }
 
     /// Looks up the history pointer for `line`. Returns the pointer (if any)
@@ -172,11 +307,10 @@ impl HashIndexTable {
         self.stats.lookups += 1;
         let bucket_idx = self.bucket_of(line);
         let ready = self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaLookup);
-        let entries = &mut self.buckets[bucket_idx].entries;
-        if let Some(pos) = entries.iter().position(|e| e.line == line) {
-            // Move to MRU position.
-            let entry = entries.remove(pos);
-            entries.insert(0, entry);
+        let bucket = &mut self.buckets[bucket_idx];
+        if let Some(pos) = bucket.entries.iter().position(|e| e.line == line) {
+            let entry = bucket.entries[pos];
+            bucket.promote(pos, entry);
             self.stats.hits += 1;
             (Some(entry.pointer), ready)
         } else {
@@ -198,24 +332,24 @@ impl HashIndexTable {
         // An update is a read-modify-write of the bucket; the read is skipped
         // when the bucket is buffered, the write is deferred until eviction.
         self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaUpdate);
-        self.mark_dirty(bucket_idx);
-        let entries_per_bucket = self.entries_per_bucket;
-        let entries = &mut self.buckets[bucket_idx].entries;
-        if let Some(pos) = entries.iter().position(|e| e.line == line) {
-            entries.remove(pos);
+        self.buffer.mark_dirty(bucket_idx);
+        let entry = BucketEntry { line, pointer };
+        let bucket = &mut self.buckets[bucket_idx];
+        match bucket.entries.iter().position(|e| e.line == line) {
+            Some(pos) => bucket.promote(pos, entry),
+            None if bucket.entries.len() < self.entries_per_bucket => {
+                bucket.entries.insert(0, entry);
+            }
+            // Full: the LRU (last) entry falls off.
+            None => bucket.promote(bucket.entries.len() - 1, entry),
         }
-        entries.insert(0, BucketEntry { line, pointer });
-        entries.truncate(entries_per_bucket);
     }
 
     /// Writes back every dirty buffered bucket (end of simulation).
     pub fn flush(&mut self, now: Cycle, dram: &mut DramModel) {
-        for (_, dirty) in self.buffer.iter_mut() {
-            if *dirty {
-                dram.access(TrafficClass::MetaUpdate, 64, now);
-                self.stats.writebacks += 1;
-                *dirty = false;
-            }
+        for _ in 0..self.buffer.clean_all() {
+            dram.access(TrafficClass::MetaUpdate, 64, now);
+            self.stats.writebacks += 1;
         }
     }
 }
@@ -381,5 +515,193 @@ mod tests {
     #[test]
     fn bucket_count_reported() {
         assert_eq!(HashIndexTable::new(77, 12, 8).bucket_count(), 77);
+    }
+
+    /// The index table as it was before the O(1) bucket buffer: the buffer
+    /// a recency-ordered `Vec` scanned on every access (LRU at the front),
+    /// buckets updated with `Vec::remove`/`insert`. Kept as the reference
+    /// the fast table must match.
+    struct ReferenceIndex {
+        buckets: Vec<Vec<BucketEntry>>,
+        entries_per_bucket: usize,
+        buffer: Vec<(usize, bool)>,
+        buffer_capacity: usize,
+        stats: IndexStats,
+    }
+
+    impl ReferenceIndex {
+        fn new(buckets: usize, entries_per_bucket: usize, buffer_capacity: usize) -> Self {
+            ReferenceIndex {
+                buckets: vec![Vec::new(); buckets],
+                entries_per_bucket,
+                buffer: Vec::new(),
+                buffer_capacity,
+                stats: IndexStats::default(),
+            }
+        }
+
+        fn bucket_of(&self, line: LineAddr) -> usize {
+            let mut h = line.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            (h % self.buckets.len() as u64) as usize
+        }
+
+        fn acquire_bucket(
+            &mut self,
+            bucket: usize,
+            now: Cycle,
+            dram: &mut DramModel,
+            class: TrafficClass,
+        ) -> Cycle {
+            if let Some(pos) = self.buffer.iter().position(|&(b, _)| b == bucket) {
+                let entry = self.buffer.remove(pos);
+                self.buffer.push(entry);
+                self.stats.buffer_hits += 1;
+                return now;
+            }
+            let ready = dram.access(class, 64, now);
+            if self.buffer.len() >= self.buffer_capacity && self.buffer_capacity > 0 {
+                let (_, dirty) = self.buffer.remove(0);
+                if dirty {
+                    dram.access(TrafficClass::MetaUpdate, 64, now);
+                    self.stats.writebacks += 1;
+                }
+            }
+            if self.buffer_capacity > 0 {
+                self.buffer.push((bucket, false));
+            }
+            ready
+        }
+
+        fn lookup(
+            &mut self,
+            line: LineAddr,
+            now: Cycle,
+            dram: &mut DramModel,
+        ) -> (Option<HistoryPointer>, Cycle) {
+            self.stats.lookups += 1;
+            let bucket_idx = self.bucket_of(line);
+            let ready = self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaLookup);
+            let entries = &mut self.buckets[bucket_idx];
+            if let Some(pos) = entries.iter().position(|e| e.line == line) {
+                let entry = entries.remove(pos);
+                entries.insert(0, entry);
+                self.stats.hits += 1;
+                (Some(entry.pointer), ready)
+            } else {
+                (None, ready)
+            }
+        }
+
+        fn update(
+            &mut self,
+            line: LineAddr,
+            pointer: HistoryPointer,
+            now: Cycle,
+            dram: &mut DramModel,
+        ) {
+            self.stats.updates += 1;
+            let bucket_idx = self.bucket_of(line);
+            self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaUpdate);
+            if let Some(entry) = self.buffer.iter_mut().find(|(b, _)| *b == bucket_idx) {
+                entry.1 = true;
+            }
+            let entries = &mut self.buckets[bucket_idx];
+            if let Some(pos) = entries.iter().position(|e| e.line == line) {
+                entries.remove(pos);
+            }
+            entries.insert(0, BucketEntry { line, pointer });
+            entries.truncate(self.entries_per_bucket);
+        }
+
+        fn flush(&mut self, now: Cycle, dram: &mut DramModel) {
+            for (_, dirty) in self.buffer.iter_mut() {
+                if *dirty {
+                    dram.access(TrafficClass::MetaUpdate, 64, now);
+                    self.stats.writebacks += 1;
+                    *dirty = false;
+                }
+            }
+        }
+    }
+
+    /// The fast buffer's buckets from least to most recently used, with
+    /// their dirty bits: the order eviction and `flush` walk.
+    fn buffer_order(index: &HashIndexTable) -> Vec<(usize, bool)> {
+        let mut order = Vec::new();
+        let mut slot = index.buffer.oldest;
+        while slot != NONE {
+            let entry = index.buffer.slots[slot as usize];
+            order.push((entry.bucket as usize, entry.dirty));
+            slot = entry.newer;
+        }
+        order
+    }
+
+    #[test]
+    fn constant_time_buffer_matches_linear_scan_reference() {
+        use proptest::{Strategy, TestRng};
+        let ops = proptest::collection::vec((0u8..10, 0u64..200, 0u64..50), 1..400);
+        let mut rng =
+            TestRng::deterministic("index::constant_time_buffer_matches_linear_scan_reference");
+        let (mut writebacks, mut buffer_hits, mut full_buckets) = (0u64, 0u64, 0u64);
+        for case in 0..40 {
+            let ops = ops.sample_value(&mut rng);
+            for (buckets, per_bucket, capacity) in [
+                (1, 3, 2),
+                (3, 2, 1),
+                (77, 12, 5),
+                (64, 4, 0),
+                (16, 1, 128),
+                (128, 12, 16),
+            ] {
+                let mut fast = HashIndexTable::new(buckets, per_bucket, capacity);
+                let mut reference = ReferenceIndex::new(buckets, per_bucket, capacity);
+                let (mut fast_dram, mut ref_dram) = (dram(), dram());
+                let mut now = Cycle::ZERO;
+                for &(op, line, position) in &ops {
+                    now += 7;
+                    let line = LineAddr::new(line);
+                    match op {
+                        0..=4 => assert_eq!(
+                            fast.lookup(line, now, &mut fast_dram),
+                            reference.lookup(line, now, &mut ref_dram),
+                            "case {case}, geometry {buckets}/{per_bucket}/{capacity}"
+                        ),
+                        5..=8 => {
+                            let pointer = ptr((position % 4) as u16, position);
+                            fast.update(line, pointer, now, &mut fast_dram);
+                            reference.update(line, pointer, now, &mut ref_dram);
+                        }
+                        _ => {
+                            fast.flush(now, &mut fast_dram);
+                            reference.flush(now, &mut ref_dram);
+                        }
+                    }
+                    assert_eq!(fast.stats(), reference.stats);
+                    assert_eq!(buffer_order(&fast), reference.buffer);
+                }
+                fast.flush(now, &mut fast_dram);
+                reference.flush(now, &mut ref_dram);
+                assert_eq!(fast.stats(), reference.stats);
+                assert_eq!(fast_dram.traffic(), ref_dram.traffic());
+                assert_eq!(fast_dram.access_count(), ref_dram.access_count());
+                let contents: Vec<_> = fast.buckets.iter().map(|b| b.entries.clone()).collect();
+                assert_eq!(contents, reference.buckets, "same entries in MRU order");
+                writebacks += reference.stats.writebacks;
+                buffer_hits += reference.stats.buffer_hits;
+                full_buckets += reference
+                    .buckets
+                    .iter()
+                    .filter(|b| b.len() == per_bucket)
+                    .count() as u64;
+            }
+        }
+        assert!(
+            writebacks > 0 && buffer_hits > 0 && full_buckets > 0,
+            "the op streams must reach write-backs, buffer hits and full buckets"
+        );
     }
 }

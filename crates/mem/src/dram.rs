@@ -173,6 +173,9 @@ impl TrafficStats {
 #[derive(Debug, Clone)]
 pub struct DramModel {
     cfg: DramConfig,
+    /// `cfg.transfer_cycles(cfg.transfer_bytes)`: the channel occupancy of
+    /// one line, which nearly every access moves.
+    line_transfer_cycles: u64,
     /// Cycle until which the channel is busy with demand-priority transfers.
     demand_busy_until: Cycle,
     /// Cycle until which the channel is busy counting low-priority transfers
@@ -187,6 +190,7 @@ impl DramModel {
     pub fn new(cfg: DramConfig) -> Self {
         DramModel {
             cfg,
+            line_transfer_cycles: cfg.transfer_cycles(cfg.transfer_bytes as u64),
             demand_busy_until: Cycle::ZERO,
             low_busy_until: Cycle::ZERO,
             traffic: TrafficStats::default(),
@@ -207,7 +211,11 @@ impl DramModel {
     pub fn access(&mut self, class: TrafficClass, bytes: u64, now: Cycle) -> Cycle {
         self.traffic.add(class, bytes);
         self.accesses += 1;
-        let transfer = self.cfg.transfer_cycles(bytes);
+        let transfer = if bytes == self.cfg.transfer_bytes as u64 {
+            self.line_transfer_cycles
+        } else {
+            self.cfg.transfer_cycles(bytes)
+        };
         if class.is_high_priority() {
             let start = now.max(self.demand_busy_until);
             let completion = start + self.cfg.latency_cycles;
@@ -255,6 +263,34 @@ mod tests {
 
     fn dram() -> DramModel {
         DramModel::new(SystemConfig::hpca09_baseline().dram)
+    }
+
+    #[test]
+    fn precomputed_line_transfer_equals_the_formula() {
+        for bytes_per_cycle in [6.4, 3.0, 0.7, 64.0, 5.5, 1.0 / 3.0] {
+            for transfer_bytes in [64usize, 32, 128, 72] {
+                let cfg = DramConfig {
+                    latency_cycles: 100,
+                    bytes_per_cycle,
+                    transfer_bytes,
+                };
+                let model = DramModel::new(cfg);
+                let formula = ((transfer_bytes as f64) / bytes_per_cycle).ceil() as u64;
+                assert_eq!(model.line_transfer_cycles, formula);
+                assert_eq!(
+                    model.line_transfer_cycles,
+                    cfg.transfer_cycles(transfer_bytes as u64)
+                );
+                // Back-to-back accesses are spaced by the transfer time, for
+                // line-sized and other sizes alike.
+                for bytes in [transfer_bytes as u64, 64, 200] {
+                    let mut d = DramModel::new(cfg);
+                    let first = d.access(TrafficClass::DemandFill, bytes, Cycle::ZERO);
+                    let second = d.access(TrafficClass::DemandFill, bytes, Cycle::ZERO);
+                    assert_eq!(second - first, cfg.transfer_cycles(bytes));
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! or off-chip (each lookup/update costs main-memory accesses), which is how
 //! the EBCP-like and ULMT-like baselines of Figure 1 (right) are modelled.
 
+use std::collections::VecDeque;
 use stms_mem::{DramModel, Prefetcher, StreamChunk, TrafficClass};
 use stms_types::{CoreId, Cycle, LineAddr};
 
@@ -130,12 +131,18 @@ impl Default for FixedDepthConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One correlation-table entry. Its successors live in the prefetcher's
+/// `successors` pool, `depth` slots from `first`.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: LineAddr,
-    successors: Vec<LineAddr>,
     lru: u64,
+    first: usize,
+    len: usize,
 }
+
+/// Marks a window element whose entry's way is not known yet.
+const NO_WAY: usize = usize::MAX;
 
 /// Counters describing fixed-depth prefetcher behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -171,10 +178,20 @@ pub struct FixedDepthStats {
 #[derive(Debug)]
 pub struct FixedDepthPrefetcher {
     cfg: FixedDepthConfig,
+    /// Per-set entries; a set's vector grows on first use, so untouched
+    /// sets hold no entry storage.
     sets: Vec<Vec<Entry>>,
+    /// `sets.len() - 1` (the set count is a power of two).
+    set_mask: u64,
+    /// Successor slots, `depth` per entry ever allocated; a replacing entry
+    /// takes over its victim's slots.
+    successors: Vec<LineAddr>,
     /// Per-core trailing window of recent misses used to fill entries: the
     /// entry for a miss M receives the next `depth` misses that follow M.
-    recent: Vec<Vec<LineAddr>>,
+    /// Oldest first; each miss carries the way of its entry within its set
+    /// once known ([`NO_WAY`] before), which spares the set search while the
+    /// entry stays put.
+    recent: Vec<VecDeque<(LineAddr, usize)>>,
     clock: u64,
     stats: FixedDepthStats,
 }
@@ -194,7 +211,9 @@ impl FixedDepthPrefetcher {
         FixedDepthPrefetcher {
             cfg,
             sets: vec![Vec::new(); sets],
-            recent: vec![Vec::new(); cfg.cores],
+            set_mask: sets as u64 - 1,
+            successors: Vec::new(),
+            recent: vec![VecDeque::new(); cfg.cores],
             clock: 0,
             stats: FixedDepthStats::default(),
         }
@@ -211,7 +230,7 @@ impl FixedDepthPrefetcher {
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets.len() as u64) as usize
+        (line.raw() & self.set_mask) as usize
     }
 
     fn charge_meta(
@@ -229,31 +248,52 @@ impl FixedDepthPrefetcher {
     }
 
     /// Appends `successor` to the entry for `trigger`, creating it if needed.
-    fn append_successor(&mut self, trigger: LineAddr, successor: LineAddr) {
+    /// `way` is where the entry was last seen ([`NO_WAY`] if unknown);
+    /// returns where it is now.
+    fn append_successor(&mut self, trigger: LineAddr, successor: LineAddr, way: usize) -> usize {
         self.clock += 1;
         let clock = self.clock;
-        let assoc = self.cfg.associativity;
         let depth = self.cfg.depth;
         let set_idx = self.set_of(trigger);
         let set = &mut self.sets[set_idx];
-        if let Some(e) = set.iter_mut().find(|e| e.tag == trigger) {
+        let found = match set.get(way) {
+            Some(e) if e.tag == trigger => Some(way),
+            _ => set.iter().position(|e| e.tag == trigger),
+        };
+        if let Some(way) = found {
+            let e = &mut set[way];
             e.lru = clock;
-            if e.successors.len() < depth {
-                e.successors.push(successor);
+            if e.len < depth {
+                self.successors[e.first + e.len] = successor;
+                e.len += 1;
             }
-            return;
+            return way;
         }
+        let (way, first) = if set.len() < self.cfg.associativity {
+            let first = self.successors.len();
+            self.successors.resize(first + depth, LineAddr::new(0));
+            (set.len(), first)
+        } else {
+            let (way, victim) = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.lru)
+                .expect("assoc > 0");
+            (way, victim.first)
+        };
         let entry = Entry {
             tag: trigger,
-            successors: vec![successor],
             lru: clock,
+            first,
+            len: 1,
         };
-        if set.len() < assoc {
+        if way == set.len() {
             set.push(entry);
         } else {
-            let victim = set.iter_mut().min_by_key(|e| e.lru).expect("assoc > 0");
-            *victim = entry;
+            set[way] = entry;
         }
+        self.successors[first] = successor;
+        way
     }
 }
 
@@ -284,10 +324,10 @@ impl Prefetcher for FixedDepthPrefetcher {
         let set_idx = self.set_of(line);
         let entry = self.sets[set_idx].iter_mut().find(|e| e.tag == line)?;
         entry.lru = clock;
-        let addresses = entry.successors.clone();
-        if addresses.is_empty() {
+        if entry.len == 0 {
             return None;
         }
+        let addresses = self.successors[entry.first..entry.first + entry.len].to_vec();
         self.stats.lookup_hits += 1;
         Some(StreamChunk {
             addresses,
@@ -309,10 +349,11 @@ impl Prefetcher for FixedDepthPrefetcher {
         now: Cycle,
         dram: &mut DramModel,
     ) {
-        // Feed this miss into the entries of the preceding `depth` misses.
-        let window: Vec<LineAddr> = self.recent[core.index()].clone();
-        for &trigger in &window {
-            self.append_successor(trigger, line);
+        // Feed this miss into the entries of the preceding `depth` misses,
+        // oldest first.
+        let mut window = std::mem::take(&mut self.recent[core.index()]);
+        for (trigger, way) in window.iter_mut() {
+            *way = self.append_successor(*trigger, line, *way);
         }
         // Update traffic: one table update per recorded miss (read-modify-write
         // of the trigger entry) for off-chip placements.
@@ -323,11 +364,11 @@ impl Prefetcher for FixedDepthPrefetcher {
         {
             self.charge_meta(update_accesses, now, dram, TrafficClass::MetaUpdate);
         }
-        let recent = &mut self.recent[core.index()];
-        recent.push(line);
-        if recent.len() > self.cfg.depth {
-            recent.remove(0);
+        window.push_back((line, NO_WAY));
+        if window.len() > self.cfg.depth {
+            window.pop_front();
         }
+        self.recent[core.index()] = window;
     }
 }
 
@@ -468,5 +509,190 @@ mod tests {
         let mut cfg = FixedDepthConfig::on_chip_with_depth(1, 1);
         cfg.depth = 0;
         let _ = FixedDepthPrefetcher::new(cfg);
+    }
+
+    /// The prefetcher as it was before the successor pool: each entry owns
+    /// a successor `Vec`, the set index is a `%`, and `record` clones the
+    /// window and shifts it with `remove(0)`. Kept as the reference the
+    /// fast table must match.
+    struct ReferenceFixedDepth {
+        cfg: FixedDepthConfig,
+        sets: Vec<Vec<(LineAddr, Vec<LineAddr>, u64)>>,
+        recent: Vec<Vec<LineAddr>>,
+        clock: u64,
+        stats: FixedDepthStats,
+        evictions: u64,
+    }
+
+    impl ReferenceFixedDepth {
+        fn new(cfg: FixedDepthConfig) -> Self {
+            ReferenceFixedDepth {
+                cfg,
+                sets: vec![Vec::new(); cfg.entries / cfg.associativity],
+                recent: vec![Vec::new(); cfg.cores],
+                clock: 0,
+                stats: FixedDepthStats::default(),
+                evictions: 0,
+            }
+        }
+
+        fn set_of(&self, line: LineAddr) -> usize {
+            (line.raw() % self.sets.len() as u64) as usize
+        }
+
+        fn charge_meta(
+            accesses: u32,
+            now: Cycle,
+            dram: &mut DramModel,
+            class: TrafficClass,
+        ) -> Cycle {
+            let mut done = now;
+            for _ in 0..accesses {
+                done = dram.access(class, 64, done);
+            }
+            done
+        }
+
+        fn append_successor(&mut self, trigger: LineAddr, successor: LineAddr) {
+            self.clock += 1;
+            let clock = self.clock;
+            let (assoc, depth) = (self.cfg.associativity, self.cfg.depth);
+            let set_idx = self.set_of(trigger);
+            let set = &mut self.sets[set_idx];
+            if let Some(e) = set.iter_mut().find(|e| e.0 == trigger) {
+                e.2 = clock;
+                if e.1.len() < depth {
+                    e.1.push(successor);
+                }
+                return;
+            }
+            let entry = (trigger, vec![successor], clock);
+            if set.len() < assoc {
+                set.push(entry);
+            } else {
+                let victim = set.iter_mut().min_by_key(|e| e.2).expect("assoc > 0");
+                *victim = entry;
+                self.evictions += 1;
+            }
+        }
+
+        fn on_trigger(
+            &mut self,
+            line: LineAddr,
+            now: Cycle,
+            dram: &mut DramModel,
+        ) -> Option<StreamChunk> {
+            self.stats.lookups += 1;
+            let ready_at = match self.cfg.placement {
+                TablePlacement::OnChip => now,
+                TablePlacement::OffChip {
+                    lookup_accesses, ..
+                } => Self::charge_meta(lookup_accesses, now, dram, TrafficClass::MetaLookup),
+            };
+            self.clock += 1;
+            let clock = self.clock;
+            let set_idx = self.set_of(line);
+            let entry = self.sets[set_idx].iter_mut().find(|e| e.0 == line)?;
+            entry.2 = clock;
+            let addresses = entry.1.clone();
+            if addresses.is_empty() {
+                return None;
+            }
+            self.stats.lookup_hits += 1;
+            Some(StreamChunk {
+                addresses,
+                ready_at,
+            })
+        }
+
+        fn record(&mut self, core: CoreId, line: LineAddr, now: Cycle, dram: &mut DramModel) {
+            let window: Vec<LineAddr> = self.recent[core.index()].clone();
+            for &trigger in &window {
+                self.append_successor(trigger, line);
+            }
+            self.stats.updates += 1;
+            if let TablePlacement::OffChip {
+                update_accesses, ..
+            } = self.cfg.placement
+            {
+                Self::charge_meta(update_accesses, now, dram, TrafficClass::MetaUpdate);
+            }
+            let recent = &mut self.recent[core.index()];
+            recent.push(line);
+            if recent.len() > self.cfg.depth {
+                recent.remove(0);
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_table_matches_owned_successor_reference() {
+        use proptest::{Strategy, TestRng};
+        let ops = proptest::collection::vec((0u8..4, 0u16..2, 0u64..90), 1..500);
+        let mut rng =
+            TestRng::deterministic("fixed_depth::pooled_table_matches_owned_successor_reference");
+        let mut evictions = 0;
+        for _ in 0..30 {
+            let ops = ops.sample_value(&mut rng);
+            for (entries, associativity, depth, off_chip) in [
+                (8, 2, 3, false),
+                (16, 4, 1, true),
+                (4, 4, 6, false),
+                (64, 8, 12, true),
+                (1024, 16, 2, false),
+            ] {
+                let cfg = FixedDepthConfig {
+                    cores: 2,
+                    entries,
+                    associativity,
+                    depth,
+                    placement: if off_chip {
+                        TablePlacement::OffChip {
+                            lookup_accesses: 1,
+                            update_accesses: 3,
+                        }
+                    } else {
+                        TablePlacement::OnChip
+                    },
+                };
+                let mut fast = FixedDepthPrefetcher::new(cfg);
+                let mut reference = ReferenceFixedDepth::new(cfg);
+                let (mut fast_dram, mut ref_dram) = (dram(), dram());
+                for (step, &(op, core, line)) in ops.iter().enumerate() {
+                    let (core, line, now) = (
+                        CoreId::new(core),
+                        LineAddr::new(line),
+                        Cycle::new(step as u64 * 5),
+                    );
+                    if op == 0 {
+                        assert_eq!(
+                            fast.on_trigger(core, line, now, &mut fast_dram),
+                            reference.on_trigger(line, now, &mut ref_dram)
+                        );
+                    } else {
+                        fast.record(core, line, op == 1, now, &mut fast_dram);
+                        reference.record(core, line, now, &mut ref_dram);
+                    }
+                    assert_eq!(fast.stats(), reference.stats);
+                }
+                assert_eq!(fast_dram.traffic(), ref_dram.traffic());
+                // Every resident entry holds the same successors.
+                for (set, expected) in fast.sets.iter().zip(&reference.sets) {
+                    let got: Vec<_> = set
+                        .iter()
+                        .map(|e| {
+                            (
+                                e.tag,
+                                fast.successors[e.first..e.first + e.len].to_vec(),
+                                e.lru,
+                            )
+                        })
+                        .collect();
+                    assert_eq!(&got, expected);
+                }
+                evictions += reference.evictions;
+            }
+        }
+        assert!(evictions > 0, "the op streams must replace entries");
     }
 }

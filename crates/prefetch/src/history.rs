@@ -6,6 +6,7 @@
 //! absolute, monotonically-increasing position. Old entries beyond the
 //! capacity are forgotten; reads of forgotten positions return nothing.
 
+use stms_types::hashing::SlotMap;
 use stms_types::LineAddr;
 
 /// An append-only circular log of line addresses with absolute positions.
@@ -28,7 +29,8 @@ use stms_types::LineAddr;
 #[derive(Debug, Clone)]
 pub struct HistoryLog {
     buf: Vec<LineAddr>,
-    capacity: usize,
+    /// Position -> slot of `buf` (its length is the capacity).
+    slots: SlotMap,
     /// Total number of entries ever appended; the next append gets this
     /// position.
     next_pos: u64,
@@ -44,14 +46,14 @@ impl HistoryLog {
         assert!(capacity > 0, "history capacity must be non-zero");
         HistoryLog {
             buf: Vec::with_capacity(capacity.min(1 << 20)),
-            capacity,
+            slots: SlotMap::new(capacity),
             next_pos: 0,
         }
     }
 
     /// Maximum number of retained entries.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.slot_count()
     }
 
     /// Number of entries currently retained.
@@ -78,11 +80,10 @@ impl HistoryLog {
     /// Appends an address and returns its absolute position.
     pub fn append(&mut self, line: LineAddr) -> u64 {
         let pos = self.next_pos;
-        if self.buf.len() < self.capacity {
+        if self.buf.len() < self.capacity() {
             self.buf.push(line);
         } else {
-            let idx = (pos % self.capacity as u64) as usize;
-            self.buf[idx] = line;
+            self.buf[self.slots.slot(pos)] = line;
         }
         self.next_pos += 1;
         pos
@@ -93,21 +94,31 @@ impl HistoryLog {
         if pos >= self.next_pos || pos < self.oldest_position() {
             return None;
         }
-        let idx = (pos % self.capacity as u64) as usize;
-        Some(self.buf[idx])
+        Some(self.buf[self.slots.slot(pos)])
     }
 
     /// Reads up to `n` consecutive entries starting at `pos`, stopping at the
     /// end of the log or at the retention horizon.
     pub fn read_from(&self, pos: u64, n: usize) -> Vec<LineAddr> {
-        let mut out = Vec::with_capacity(n.min(64));
-        for p in pos..pos.saturating_add(n as u64) {
-            match self.get(p) {
-                Some(line) => out.push(line),
-                None => break,
-            }
-        }
+        let (head, tail) = self.slices_from(pos, n);
+        let mut out = Vec::with_capacity(head.len() + tail.len());
+        out.extend_from_slice(head);
+        out.extend_from_slice(tail);
         out
+    }
+
+    /// The entries [`HistoryLog::read_from`] returns, without copying them:
+    /// up to `n` consecutive entries from `pos`, as the part before the
+    /// ring wraps and the part after it (empty unless it wraps). Both are
+    /// empty when `pos` is outside the retained window.
+    pub fn slices_from(&self, pos: u64, n: usize) -> (&[LineAddr], &[LineAddr]) {
+        if pos >= self.next_pos || pos < self.oldest_position() {
+            return (&[], &[]);
+        }
+        let count = (self.next_pos - pos).min(n as u64) as usize;
+        let start = self.slots.slot(pos);
+        let head = count.min(self.buf.len() - start);
+        (&self.buf[start..start + head], &self.buf[..count - head])
     }
 }
 
@@ -115,6 +126,32 @@ impl HistoryLog {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The element-by-element read `read_from` used to be.
+    fn reference_read_from(log: &HistoryLog, pos: u64, n: usize) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        for p in pos..pos.saturating_add(n as u64) {
+            match log.get(p) {
+                Some(line) => out.push(line),
+                None => break,
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn slices_from_splits_at_the_wrap() {
+        let mut log = HistoryLog::new(4);
+        for i in 0..6u64 {
+            log.append(LineAddr::new(i));
+        }
+        // Slots hold [4, 5, 2, 3]: a read from position 3 wraps after one.
+        let (head, tail) = log.slices_from(3, 3);
+        assert_eq!(head, &[LineAddr::new(3)]);
+        assert_eq!(tail, &[LineAddr::new(4), LineAddr::new(5)]);
+        assert_eq!(log.slices_from(1, 3), (&[][..], &[][..]), "overwritten");
+        assert_eq!(log.slices_from(6, 3), (&[][..], &[][..]), "write point");
+    }
 
     #[test]
     fn append_and_get() {
@@ -188,6 +225,23 @@ mod tests {
             }
             prop_assert_eq!(log.get(log.next_position()), None);
             prop_assert_eq!(log.len(), capacity.min(lines.len()));
+        }
+
+        /// read_from agrees with the element-by-element reference read
+        /// (the implementation before `slices_from`), for every capacity,
+        /// wrapped or not, power of two or not.
+        #[test]
+        fn prop_read_from_matches_reference(
+            lines in proptest::collection::vec(0u64..1000, 0..200),
+            capacity in 1usize..70,
+            start in 0u64..260,
+            n in 0usize..80,
+        ) {
+            let mut log = HistoryLog::new(capacity);
+            for &l in &lines {
+                log.append(LineAddr::new(l));
+            }
+            prop_assert_eq!(log.read_from(start, n), reference_read_from(&log, start, n));
         }
 
         /// read_from agrees with repeated get.

@@ -81,6 +81,8 @@ struct Entry {
 pub struct MarkovPrefetcher {
     cfg: MarkovConfig,
     sets: Vec<Vec<Entry>>,
+    /// `sets.len() - 1` (the set count is a power of two).
+    set_mask: u64,
     last_miss: Vec<Option<LineAddr>>,
     clock: u64,
 }
@@ -99,13 +101,14 @@ impl MarkovPrefetcher {
         MarkovPrefetcher {
             cfg,
             sets: vec![Vec::new(); sets],
+            set_mask: sets as u64 - 1,
             last_miss: vec![None; cfg.cores],
             clock: 0,
         }
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets.len() as u64) as usize
+        (line.raw() & self.set_mask) as usize
     }
 
     fn learn(&mut self, predecessor: LineAddr, successor: LineAddr) {
